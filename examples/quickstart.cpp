@@ -6,7 +6,7 @@
 //                  [--workers=N] [--transport=socketpair|tcp] [--port=P]
 //                  [--cache=DIR]
 //
-// design: tiny | m0 | aes | jpeg | vga   (default tiny)
+// design: tiny | m0 | aes | jpeg | vga  (default aes, FlowOptions default)
 // alpha_nm: paper-style alpha in nm HPWL units (default 1200)
 // --backend=processes solves windows in vm1_worker subprocesses over the
 // src/dist wire protocol (bit-identical results to threads); --workers

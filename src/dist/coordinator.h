@@ -105,10 +105,10 @@ struct CoordinatorOptions {
   /// any request is built. Probes never establish workers (a cold fleet
   /// has cold memos) and a silent probe simply counts as all-miss.
   bool remote_cache = true;
-  /// Jobs coalesced per kRequestBatch frame. 1 (the default) keeps the
-  /// original one-kRequest-per-frame dispatch bit-exactly; >1 ships up to
-  /// this many cache-missing windows to a worker in a single frame, which
-  /// is what drives frames-per-window below 1.0 on bench_cache.
+  /// Jobs coalesced per kRequestBatch frame, the only request frame. 1
+  /// (the default) sends a batch of one per window; >1 ships up to this
+  /// many cache-missing windows to a worker in a single frame, which is
+  /// what drives frames-per-window below 1.0 on bench_cache.
   int coalesce = 1;
 
   /// Throws std::invalid_argument on out-of-range fields.
@@ -124,7 +124,7 @@ struct CoordinatorOptions {
 /// attempted), and bytes_retransmitted is the subset of bytes_sent spent
 /// re-sending a window's request after a failed attempt.
 struct CoordinatorStats {
-  long requests = 0;         ///< request frames sent (incl. retries)
+  long requests = 0;         ///< window requests sent (incl. retries)
   long replies = 0;          ///< well-formed replies accepted
   long retries = 0;          ///< windows re-queued after a failed attempt
   long timeouts = 0;         ///< per-request deadlines that fired
@@ -249,6 +249,10 @@ class Coordinator {
   void note_failure(Slot& slot);
   void note_success(Slot& slot);
   void update_health_gauges();
+  /// One read on a readable slot: the bytes are accounted and appended to
+  /// its receive buffer (true), or EOF/read error tears the slot down
+  /// (false). Callers add their own bookkeeping for the failure.
+  bool receive(Slot& slot);
   void send_ping(Slot& slot);
   void handle_pong(Slot& slot, std::uint64_t seq);
   bool send_frame_to(Slot& slot, std::vector<std::uint8_t> frame);

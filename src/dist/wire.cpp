@@ -13,10 +13,6 @@ const char* to_string(MsgType t) {
       return "hello";
     case MsgType::kBindDesign:
       return "bind_design";
-    case MsgType::kRequest:
-      return "request";
-    case MsgType::kReply:
-      return "reply";
     case MsgType::kSync:
       return "sync";
     case MsgType::kError:
@@ -173,7 +169,8 @@ std::optional<Frame> extract_frame(std::vector<std::uint8_t>& buf) {
   std::uint64_t checksum = r.u64();
   if (len > kMaxPayload) throw WireError("wire: oversized frame payload");
   if (type < static_cast<std::uint16_t>(MsgType::kHello) ||
-      type > static_cast<std::uint16_t>(MsgType::kReplyBatch)) {
+      type > static_cast<std::uint16_t>(MsgType::kReplyBatch) ||
+      type == 3 || type == 4) {  // retired single request/reply
     throw WireError("wire: unknown message type " + std::to_string(type));
   }
   if (buf.size() < kFrameHeaderSize + len) return std::nullopt;
@@ -282,7 +279,7 @@ fault::Config get_faults(WireReader& r) {
   return fc;
 }
 
-// The WindowSolveResult codec is shared by kReply and the kCacheReply hit
+// The WindowSolveResult codec is shared by reply-batch and kCacheReply hit
 // entries; the cross-field invariants live in get_solve_result so every
 // path that materializes a result enforces them.
 void put_solve_result(WireWriter& w, const WindowSolveResult& res) {
@@ -526,7 +523,7 @@ WireErrorMsg decode_error(const std::vector<std::uint8_t>& payload) {
 
 namespace {
 
-/// Length-prefixed embedded payload: batch frames carry whole single-frame
+/// Length-prefixed embedded payload: batch frames carry whole per-request
 /// payloads (encode_request / encode_reply / encode_error bytes) so the
 /// embedded codecs — and their invariant checks — are reused verbatim.
 void put_blob(WireWriter& w, const std::vector<std::uint8_t>& b) {

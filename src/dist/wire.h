@@ -44,7 +44,10 @@ namespace vm1::dist {
 inline constexpr std::uint32_t kMagic = 0x564D3144u;  // "VM1D"
 /// v2: kHello gained the optional auth tag (TCP attach handshake), and the
 /// kChallenge/kPing/kPong supervision messages were added.
-inline constexpr std::uint16_t kWireVersion = 2;
+/// v3: the single-request frames (types 3 and 4) are retired; a
+/// kRequestBatch of one is the only request frame. The two numbers are
+/// rejected as unknown and never reused.
+inline constexpr std::uint16_t kWireVersion = 3;
 /// Upper bound on a frame payload; larger lengths are treated as stream
 /// corruption (the full aes design snapshot is ~2 MB).
 inline constexpr std::uint32_t kMaxPayload = 1u << 30;
@@ -61,8 +64,7 @@ class WireError : public std::runtime_error {
 enum class MsgType : std::uint16_t {
   kHello = 1,       ///< worker -> coordinator, once after connect
   kBindDesign = 2,  ///< coordinator -> worker: full design replica
-  kRequest = 3,     ///< coordinator -> worker: one window subproblem
-  kReply = 4,       ///< worker -> coordinator: WindowSolveResult
+  // 3 and 4 (single request/reply) retired in v3; never reuse them.
   kSync = 5,        ///< coordinator -> worker: placement deltas (one-way)
   kError = 6,       ///< worker -> coordinator: typed per-request failure
   kShutdown = 7,    ///< coordinator -> worker: exit cleanly
@@ -211,11 +213,12 @@ struct WireChallenge {
   std::vector<std::uint8_t> nonce;
 };
 
-/// One window subproblem. `job` carries the final (deadline-adjusted)
-/// solver limits actually used; `sig_mip` is the pass's unadjusted MIP
-/// options, which — together with `greedy_fallback` and `faults` — the
-/// worker needs to recompute the canonical window signature for the
-/// replica-consistency check against `expected_sig`.
+/// One window subproblem, embedded in a WireRequestBatch. `job` carries
+/// the final (deadline-adjusted) solver limits actually used; `sig_mip` is
+/// the pass's unadjusted MIP options, which — together with
+/// `greedy_fallback` and `faults` — the worker needs to recompute the
+/// canonical window signature for the replica-consistency check against
+/// `expected_sig`.
 struct WireRequest {
   std::uint64_t req_id = 0;
   WindowSolveJob job;
@@ -260,7 +263,7 @@ struct WireCacheQuery {
 };
 
 /// One probe hit: the signature plus the full memoized solve result, which
-/// the coordinator replays exactly as it would a kReply.
+/// the coordinator replays exactly as it would a kReplyBatch entry.
 struct WireCacheHit {
   WindowSig sig;
   WindowSolveResult result;
@@ -273,9 +276,10 @@ struct WireCacheReply {
   std::vector<WireCacheHit> hits;
 };
 
-/// Coalesced dispatch: several complete WireRequests in one frame. Each
-/// embedded request is self-contained (own req_id, signature, faults), so
-/// batching changes framing only, never solve semantics.
+/// Dispatch frame: one or more complete WireRequests (CoordinatorOptions::
+/// coalesce of them). Each embedded request is self-contained (own req_id,
+/// signature, faults), so batching changes framing only, never solve
+/// semantics.
 struct WireRequestBatch {
   std::vector<WireRequest> requests;
 };
@@ -292,8 +296,8 @@ struct WireBatchEntry {
 };
 
 /// Worker's answer to a WireRequestBatch, one entry per embedded request
-/// in order. Entries carry their own req_ids, so the coordinator resolves
-/// them exactly like single replies.
+/// in order, minus any whose reply_drop drill fired (a batch with no
+/// entries left is not sent). Entries carry their own req_ids.
 struct WireReplyBatch {
   std::vector<WireBatchEntry> entries;
 };

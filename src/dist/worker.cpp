@@ -136,10 +136,9 @@ struct RequestOutcome {
   WireErrorMsg error;
 };
 
-/// Validates, signature-checks, and solves (or memo-serves) one request.
-/// Shared by the single-request and batched paths; everything
-/// transport-level (reply frames, slow-loris/corrupt drills) stays with
-/// the callers.
+/// Validates, signature-checks, and solves (or memo-serves) one request of
+/// a batch; everything transport-level (the reply frame, slow-loris/corrupt
+/// drills) stays with handle_request_batch.
 RequestOutcome process_request(const Design* design, const WireRequest& rq,
                                MemoTier& memo) {
   static obs::Counter& requests_metric = obs::counter("dist.worker.requests");
@@ -232,8 +231,8 @@ RequestOutcome process_request(const Design* design, const WireRequest& rq,
   if (fault::config().enabled() &&
       fault::should_fire(fault::Site::kReplyDrop, rq.job.key)) {
     // Simulated hang: the work happened but the reply never leaves. The
-    // coordinator's per-request deadline turns this into kill + local
-    // fallback.
+    // coordinator's request deadline turns this into kill + retry (or, when
+    // batch-mates still answer, the batch answer fails it directly).
     log_warn("vm1_worker: injected reply_drop, window ", rq.job.widx);
     span.arg("outcome", "reply_drop");
     out.reply_drop = true;
@@ -272,36 +271,13 @@ bool send_reply_frame(int fd, std::vector<std::uint8_t> frame,
   return subprocess::write_all(fd, frame.data(), frame.size());
 }
 
-/// Handles one kRequest frame against the replica. Returns false when the
-/// socket died mid-reply.
-bool handle_request(int fd, const Design* design,
-                    const std::vector<std::uint8_t>& payload,
-                    MemoTier& memo) {
-  WireRequest rq;
-  try {
-    rq = decode_request(payload);
-  } catch (const WireError& e) {
-    // The frame passed its checksum, so this is version skew or an encoder
-    // bug, not line noise; report and keep serving.
-    return send_error(fd, 0, ErrorCode::kBadRequest, e.what());
-  }
-  RequestOutcome out = process_request(design, rq, memo);
-  if (out.reply_drop) return true;
-  if (out.is_error) {
-    return send_frame(fd, MsgType::kError, encode_error(out.error));
-  }
-  return send_reply_frame(fd,
-                          encode_frame(MsgType::kReply,
-                                       encode_reply(out.reply)),
-                          rq.job.key, rq.job.widx);
-}
-
 /// Handles one kRequestBatch frame: processes every embedded request and
 /// answers with a single kReplyBatch. A request whose reply_drop drill
-/// fires is simply omitted from the batch — the coordinator's per-job
-/// deadline handles it exactly like a dropped single reply. The
-/// frame-level drills are keyed on the first request, so a batch behaves
-/// like one big reply on the wire.
+/// fires is omitted from the batch, and the coordinator fails it as soon
+/// as the batch answer lands; when every request was dropped nothing is
+/// sent at all, so the coordinator's request deadline fires exactly as for
+/// a hung worker. The frame-level drills are keyed on the first request,
+/// so a batch behaves like one big reply on the wire.
 bool handle_request_batch(int fd, const Design* design,
                           const std::vector<std::uint8_t>& payload,
                           MemoTier& memo) {
@@ -329,6 +305,7 @@ bool handle_request_batch(int fd, const Design* design,
     }
     rb.entries.push_back(std::move(e));
   }
+  if (rb.entries.empty()) return true;  // every reply dropped: stay silent
   return send_reply_frame(
       fd, encode_frame(MsgType::kReplyBatch, encode_reply_batch(rb)),
       batch.requests.front().job.key, batch.requests.front().job.widx);
@@ -418,12 +395,6 @@ int run_worker(int fd, bool send_hello) {
           // next request desyncs and forces a rebind.
           log_error("vm1_worker: bad sync, dropping replica: ", e.what());
           design.reset();
-        }
-        break;
-      case MsgType::kRequest:
-        if (!handle_request(fd, design ? &*design : nullptr, f->payload,
-                            memo)) {
-          return 1;
         }
         break;
       case MsgType::kRequestBatch:

@@ -8,12 +8,15 @@
 ///      already went out authenticated during the tcp_attach handshake);
 ///   2. coordinator sends kBindDesign (full replica) before the first
 ///      request, and again whenever it believes the replica is stale;
-///   3. kRequest -> solve_window on the replica -> kReply, or kError
-///      (kDesync when the recomputed window signature disagrees with the
-///      request's expected signature — the replica missed a sync);
-///   4. kSync applies placement deltas (one-way, no reply);
-///   5. kPing -> kPong echoing the sequence number (heartbeat);
-///   6. kShutdown (or EOF) ends the loop.
+///   3. kRequestBatch (one or more requests) -> solve_window on the
+///      replica per request -> one kReplyBatch with a reply or typed error
+///      entry per request (kDesync when the recomputed window signature
+///      disagrees with the request's expected signature — the replica
+///      missed a sync);
+///   4. kCacheQuery -> kCacheReply with the memo tier's hits;
+///   5. kSync applies placement deltas (one-way, no reply);
+///   6. kPing -> kPong echoing the sequence number (heartbeat);
+///   7. kShutdown (or EOF) ends the loop.
 ///
 /// run_worker is also callable in-process from tests: it owns no global
 /// state besides the fault config the requests carry.

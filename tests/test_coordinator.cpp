@@ -2,8 +2,9 @@
 ///
 /// Layer 1 drives run_worker() in-process over a socketpair — the exact
 /// loop the vm1_worker executable runs — and checks the protocol: hello,
-/// replica binding, signature-checked requests, sync deltas, typed desync
-/// and bad-request errors, orderly shutdown.
+/// replica binding, signature-checked request batches, sync deltas, typed
+/// desync and bad-request errors, reply-drop silence, memo tags, orderly
+/// shutdown.
 ///
 /// Layer 2 runs whole dist_opt()/Coordinator passes against real worker
 /// subprocesses: results must be bit-identical to the threads backend,
@@ -21,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -115,6 +117,21 @@ struct WorkerHarness {
       rbuf.insert(rbuf.end(), chunk, chunk + n);
     }
   }
+  /// Sends `rq` as a batch of one (the only request frame) and returns the
+  /// single entry of the kReplyBatch that answers it.
+  WireBatchEntry solve(const WireRequest& rq) {
+    WireRequestBatch batch;
+    batch.requests = {rq};
+    send(MsgType::kRequestBatch, encode_request_batch(batch));
+    Frame f = recv();
+    if (f.type != MsgType::kReplyBatch) {
+      throw WireError(std::string("expected reply_batch, got ") +
+                      to_string(f.type));
+    }
+    WireReplyBatch rb = decode_reply_batch(f.payload);
+    if (rb.entries.size() != 1) throw WireError("batch of one, not one reply");
+    return std::move(rb.entries.front());
+  }
   /// Closes the test side and joins; returns run_worker's exit code.
   int finish() {
     close(fd);
@@ -177,10 +194,9 @@ TEST_F(WorkerProtocol, HelloBindSolveShutdown) {
   EXPECT_EQ(h.num_fault_sites, fault::kNumSites);
 
   w.send(MsgType::kBindDesign, encode_design(d));
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  Frame reply = w.recv();
-  ASSERT_EQ(reply.type, MsgType::kReply);
-  WireReply rp = decode_reply(reply.payload);
+  WireBatchEntry entry = w.solve(pw.request);
+  ASSERT_FALSE(entry.is_error);
+  const WireReply& rp = entry.reply;
   EXPECT_EQ(rp.req_id, pw.request.req_id);
   EXPECT_FALSE(rp.result.failed);
 
@@ -208,23 +224,20 @@ TEST_F(WorkerProtocol, DesyncedReplicaReportsTypedErrorThenRecovers) {
   ASSERT_EQ(w.recv().type, MsgType::kHello);
 
   // Request before any design is bound: kDesync.
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  Frame err = w.recv();
-  ASSERT_EQ(err.type, MsgType::kError);
-  EXPECT_EQ(decode_error(err.payload).code, ErrorCode::kDesync);
+  WireBatchEntry err = w.solve(pw.request);
+  ASSERT_TRUE(err.is_error);
+  EXPECT_EQ(err.error.code, ErrorCode::kDesync);
 
   // Bound replica but a stale signature (the design moved on): kDesync.
   w.send(MsgType::kBindDesign, encode_design(d));
   WireRequest stale = pw.request;
   stale.expected_sig.a ^= 1;
-  w.send(MsgType::kRequest, encode_request(stale));
-  err = w.recv();
-  ASSERT_EQ(err.type, MsgType::kError);
-  EXPECT_EQ(decode_error(err.payload).code, ErrorCode::kDesync);
+  err = w.solve(stale);
+  ASSERT_TRUE(err.is_error);
+  EXPECT_EQ(err.error.code, ErrorCode::kDesync);
 
   // The correct signature still solves — the worker stayed serviceable.
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  EXPECT_EQ(w.recv().type, MsgType::kReply);
+  EXPECT_FALSE(w.solve(pw.request).is_error);
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
@@ -258,9 +271,8 @@ TEST_F(WorkerProtocol, SyncDeltasKeepReplicaCurrent) {
   w.send(MsgType::kSync, encode_sync(sync));
 
   PreparedWindow pw = prepare_window(d, o);
-  w.send(MsgType::kRequest, encode_request(pw.request));
-  Frame reply = w.recv();
-  ASSERT_EQ(reply.type, MsgType::kReply) << "replica missed the sync delta";
+  ASSERT_FALSE(w.solve(pw.request).is_error)
+      << "replica missed the sync delta";
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
@@ -276,10 +288,62 @@ TEST_F(WorkerProtocol, OutOfRangeInstanceIsBadRequestNotUB) {
   w.send(MsgType::kBindDesign, encode_design(d));
   WireRequest bad = pw.request;
   bad.job.movable.push_back(d.netlist().num_instances() + 5);
-  w.send(MsgType::kRequest, encode_request(bad));
-  Frame err = w.recv();
-  ASSERT_EQ(err.type, MsgType::kError);
-  EXPECT_EQ(decode_error(err.payload).code, ErrorCode::kBadRequest);
+  WireBatchEntry err = w.solve(bad);
+  ASSERT_TRUE(err.is_error);
+  EXPECT_EQ(err.error.code, ErrorCode::kBadRequest);
+  w.send(MsgType::kShutdown, {});
+  EXPECT_EQ(w.finish(), 0);
+}
+
+TEST_F(WorkerProtocol, ReplyDropSilenceBatchOmissionAndMemoTag) {
+  Design d = placed_design(5);
+  DistOptOptions o = base_opts();
+  // The signature hashes the fault config the request ships, so the
+  // dropping request is prepared under its own reply_drop=1.0 config.
+  fault::Config drop;
+  drop.rate[static_cast<int>(fault::Site::kReplyDrop)] = 1.0;
+  fault::set_config(drop);
+  WireRequest dropped = prepare_window(d, o).request;
+  fault::set_config(fault::Config{});
+  WireRequest clean = prepare_window(d, o).request;
+  dropped.req_id = 10;
+  clean.req_id = 11;
+
+  WorkerHarness w;
+  ASSERT_EQ(w.recv().type, MsgType::kHello);
+  w.send(MsgType::kBindDesign, encode_design(d));
+
+  // A batch of one whose reply is dropped gets no answer at all: the next
+  // frame on the wire is the pong for the ping sent after it.
+  WireRequestBatch one;
+  one.requests = {dropped};
+  w.send(MsgType::kRequestBatch, encode_request_batch(one));
+  WirePing ping;
+  ping.seq = 77;
+  w.send(MsgType::kPing, encode_ping(ping));
+  Frame pong = w.recv();
+  ASSERT_EQ(pong.type, MsgType::kPong);
+  EXPECT_EQ(decode_ping(pong.payload).seq, ping.seq);
+
+  // A two-request batch with one reply dropped answers the other alone.
+  WireRequestBatch two;
+  two.requests = {dropped, clean};
+  w.send(MsgType::kRequestBatch, encode_request_batch(two));
+  Frame reply = w.recv();
+  ASSERT_EQ(reply.type, MsgType::kReplyBatch);
+  WireReplyBatch rb = decode_reply_batch(reply.payload);
+  ASSERT_EQ(rb.entries.size(), 1u);
+  ASSERT_FALSE(rb.entries[0].is_error);
+  EXPECT_EQ(rb.entries[0].reply.req_id, clean.req_id);
+  EXPECT_FALSE(rb.entries[0].cached);
+
+  // Re-sending the solved request hits the worker's memo tier.
+  WireBatchEntry again = w.solve(clean);
+  ASSERT_FALSE(again.is_error);
+  EXPECT_TRUE(again.cached);
+  EXPECT_EQ(again.reply.result.placements,
+            rb.entries[0].reply.result.placements);
+
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
 }

@@ -83,6 +83,69 @@ WireReply sample_reply(std::uint64_t seed) {
   return rp;
 }
 
+/// Batch of two requests: the dispatch frame as the coordinator sends it.
+WireRequestBatch sample_request_batch(std::uint64_t seed) {
+  WireRequestBatch b;
+  b.requests = {sample_request(seed), sample_request(seed + 1)};
+  return b;
+}
+
+/// Reply batch mixing a fresh reply, a memo-served one, and a typed error.
+WireReplyBatch sample_reply_batch(std::uint64_t seed) {
+  WireReplyBatch b;
+  WireBatchEntry solved;
+  solved.reply = sample_reply(seed);
+  WireBatchEntry cached;
+  cached.cached = true;
+  cached.reply = sample_reply(seed + 1);
+  WireBatchEntry error;
+  error.is_error = true;
+  error.error.req_id = seed;
+  error.error.code = ErrorCode::kDesync;
+  error.error.message = "window signature mismatch";
+  b.entries = {solved, cached, error};
+  return b;
+}
+
+WireCacheQuery sample_cache_query(std::uint64_t seed) {
+  Rng rng(seed);
+  WireCacheQuery q;
+  q.query_id = rng.next();
+  for (int i = 0; i < 3; ++i) {
+    q.sigs.push_back(WindowSig{rng.next(), rng.next()});
+  }
+  return q;
+}
+
+WireCacheReply sample_cache_reply(std::uint64_t seed) {
+  Rng rng(seed);
+  WireCacheReply r;
+  r.query_id = rng.next();
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    r.hits.push_back(
+        {WindowSig{rng.next(), rng.next()}, sample_reply(seed + k).result});
+  }
+  return r;
+}
+
+void expect_same_result(const WindowSolveResult& a,
+                        const WindowSolveResult& b) {
+  EXPECT_EQ(a.failed, b.failed);
+  EXPECT_EQ(a.error, b.error);
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.cells, b.cells);
+  EXPECT_EQ(a.has_solution, b.has_solution);
+  EXPECT_EQ(a.usable, b.usable);
+  ASSERT_EQ(a.placements.size(), b.placements.size());
+  for (std::size_t i = 0; i < a.placements.size(); ++i) {
+    EXPECT_EQ(a.placements[i], b.placements[i]) << "cell " << i;
+  }
+  EXPECT_EQ(a.warm_obj, b.warm_obj);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+}
+
 TEST(WireFrame, RoundTripsBitExact) {
   std::vector<std::uint8_t> payload = {0xde, 0xad, 0x00, 0xff, 0x42};
   std::vector<std::uint8_t> frame = encode_frame(MsgType::kSync, payload);
@@ -119,7 +182,8 @@ TEST(WireFrame, BackToBackFramesPopInOrder) {
 }
 
 TEST(WireFrame, RejectsBadMagicVersionTypeAndChecksum) {
-  std::vector<std::uint8_t> good = encode_frame(MsgType::kReply, {9, 9, 9});
+  std::vector<std::uint8_t> good =
+      encode_frame(MsgType::kReplyBatch, {9, 9, 9});
 
   std::vector<std::uint8_t> bad_magic = good;
   bad_magic[0] ^= 0xff;
@@ -140,6 +204,19 @@ TEST(WireFrame, RejectsBadMagicVersionTypeAndChecksum) {
   std::vector<std::uint8_t> bad_payload = good;
   bad_payload[kFrameHeaderSize] ^= 0x01;  // checksum now disagrees
   EXPECT_THROW(extract_frame(bad_payload), WireError);
+
+  // Types 3 and 4 were the single request/reply frames, retired in v3;
+  // v2 frames are refused like any other version.
+  for (std::uint8_t retired : {3, 4}) {
+    std::vector<std::uint8_t> old_type = good;
+    old_type[6] = retired;
+    old_type[7] = 0;
+    EXPECT_THROW(extract_frame(old_type), WireError) << "type " << +retired;
+  }
+  std::vector<std::uint8_t> v2 = good;
+  v2[4] = 2;
+  v2[5] = 0;
+  EXPECT_THROW(extract_frame(v2), WireError);
 }
 
 TEST(WireMessages, HelloErrorSyncRoundTrip) {
@@ -233,6 +310,59 @@ TEST(WireMessages, ReplyRoundTripsBitExactIncludingNaN) {
   EXPECT_EQ(f2.result.faults, 1);
 }
 
+TEST(WireMessages, RequestBatchRoundTripsBitExact) {
+  WireRequestBatch b = sample_request_batch(11);
+  WireRequestBatch b2 = decode_request_batch(encode_request_batch(b));
+  ASSERT_EQ(b2.requests.size(), b.requests.size());
+  for (std::size_t i = 0; i < b.requests.size(); ++i) {
+    // Each embedded request re-encodes to the same bytes: a bit-exact trip.
+    EXPECT_EQ(encode_request(b2.requests[i]), encode_request(b.requests[i]))
+        << "request " << i;
+    EXPECT_EQ(b2.requests[i].req_id, b.requests[i].req_id);
+  }
+}
+
+TEST(WireMessages, ReplyBatchRoundTripsEntriesAndCachedTags) {
+  WireReplyBatch b = sample_reply_batch(13);
+  WireReplyBatch b2 = decode_reply_batch(encode_reply_batch(b));
+  ASSERT_EQ(b2.entries.size(), b.entries.size());
+  for (std::size_t i = 0; i < b.entries.size(); ++i) {
+    const WireBatchEntry& want = b.entries[i];
+    const WireBatchEntry& got = b2.entries[i];
+    EXPECT_EQ(got.is_error, want.is_error) << "entry " << i;
+    EXPECT_EQ(got.cached, want.cached) << "entry " << i;
+    if (want.is_error) {
+      EXPECT_EQ(got.error.req_id, want.error.req_id);
+      EXPECT_EQ(got.error.code, want.error.code);
+      EXPECT_EQ(got.error.message, want.error.message);
+    } else {
+      EXPECT_EQ(got.reply.req_id, want.reply.req_id);
+      expect_same_result(got.reply.result, want.reply.result);
+    }
+  }
+}
+
+TEST(WireMessages, CacheQueryAndReplyRoundTrip) {
+  WireCacheQuery q = sample_cache_query(17);
+  WireCacheQuery q2 = decode_cache_query(encode_cache_query(q));
+  EXPECT_EQ(q2.query_id, q.query_id);
+  ASSERT_EQ(q2.sigs.size(), q.sigs.size());
+  for (std::size_t i = 0; i < q.sigs.size(); ++i) {
+    EXPECT_EQ(q2.sigs[i].a, q.sigs[i].a);
+    EXPECT_EQ(q2.sigs[i].b, q.sigs[i].b);
+  }
+
+  WireCacheReply r = sample_cache_reply(19);
+  WireCacheReply r2 = decode_cache_reply(encode_cache_reply(r));
+  EXPECT_EQ(r2.query_id, r.query_id);
+  ASSERT_EQ(r2.hits.size(), r.hits.size());
+  for (std::size_t i = 0; i < r.hits.size(); ++i) {
+    EXPECT_EQ(r2.hits[i].sig.a, r.hits[i].sig.a);
+    EXPECT_EQ(r2.hits[i].sig.b, r.hits[i].sig.b);
+    expect_same_result(r2.hits[i].result, r.hits[i].result);
+  }
+}
+
 TEST(WireDesign, ReplicaRoundTripsToIdenticalDigest) {
   for (CellArch arch : {CellArch::kClosedM1, CellArch::kOpenM1}) {
     Design d = placed_design(11, arch);
@@ -294,10 +424,10 @@ TEST(WireDesign, ReplicaSolvesWindowBitIdentically) {
 /// proves no out-of-bounds reads.
 TEST(WireFuzz, MutatedFramesNeverEscapeWireError) {
   std::vector<std::vector<std::uint8_t>> corpus;
-  corpus.push_back(encode_frame(MsgType::kRequest,
-                                encode_request(sample_request(1))));
-  corpus.push_back(encode_frame(MsgType::kReply,
-                                encode_reply(sample_reply(2))));
+  corpus.push_back(encode_frame(
+      MsgType::kRequestBatch, encode_request_batch(sample_request_batch(1))));
+  corpus.push_back(encode_frame(
+      MsgType::kReplyBatch, encode_reply_batch(sample_reply_batch(2))));
   WireSync sync;
   sync.changed = {{0, Placement{1, 1, false}}};
   corpus.push_back(encode_frame(MsgType::kSync, encode_sync(sync)));
@@ -319,11 +449,11 @@ TEST(WireFuzz, MutatedFramesNeverEscapeWireError) {
       // caught above; a flip that lands in a dead zone cannot — the
       // checksum covers the payload only) must decode or throw WireError.
       switch (f->type) {
-        case MsgType::kRequest:
-          decode_request(f->payload);
+        case MsgType::kRequestBatch:
+          decode_request_batch(f->payload);
           break;
-        case MsgType::kReply:
-          decode_reply(f->payload);
+        case MsgType::kReplyBatch:
+          decode_reply_batch(f->payload);
           break;
         case MsgType::kSync:
           decode_sync(f->payload);
@@ -367,6 +497,49 @@ TEST(WireFuzz, MutatedPayloadsNeverEscapeWireError) {
     }
     try {
       decode_design(mutate(design_bytes));
+    } catch (const WireError&) {
+    }
+  }
+}
+
+/// Same payload-level fuzz for the dispatch and cache-probe codecs: a
+/// batch decoder facing a damaged length prefix or entry kind must throw
+/// WireError, never over-read or over-allocate.
+TEST(WireFuzz, MutatedBatchAndCachePayloadsNeverEscapeWireError) {
+  const std::vector<std::uint8_t> request_batch =
+      encode_request_batch(sample_request_batch(21));
+  const std::vector<std::uint8_t> reply_batch =
+      encode_reply_batch(sample_reply_batch(22));
+  const std::vector<std::uint8_t> cache_query =
+      encode_cache_query(sample_cache_query(23));
+  const std::vector<std::uint8_t> cache_reply =
+      encode_cache_reply(sample_cache_reply(24));
+
+  Rng rng(4242);
+  auto mutate = [&rng](std::vector<std::uint8_t> b) {
+    if (rng.chance(0.5)) {
+      b.resize(rng.uniform(b.size() + 1));
+    } else {
+      b[rng.uniform(b.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform(8));
+    }
+    return b;
+  };
+  for (int iter = 0; iter < 1000; ++iter) {
+    try {
+      decode_request_batch(mutate(request_batch));
+    } catch (const WireError&) {
+    }
+    try {
+      decode_reply_batch(mutate(reply_batch));
+    } catch (const WireError&) {
+    }
+    try {
+      decode_cache_query(mutate(cache_query));
+    } catch (const WireError&) {
+    }
+    try {
+      decode_cache_reply(mutate(cache_reply));
     } catch (const WireError&) {
     }
   }
