@@ -1,6 +1,8 @@
 // Solve-cache benchmark (src/cache): cold vs warm runs through a
-// persistent store, and frame economy of the cache-aware coalesced
-// dispatch (dist::Coordinator coalesce / kRequestBatch / kCacheQuery).
+// persistent store, and frame economy of the coalesced dispatch
+// (dist::Coordinator coalesce / kRequestBatch). Workers are stateless: the
+// only cross-run reuse is the coordinator's tier-2 lookup, which the
+// store-backed rows exercise.
 //
 // The cache contract is "bit-identical, just cheaper", so every row must
 // reproduce the reference objective exactly; what varies is how many
@@ -268,8 +270,6 @@ int main() {
     jw.field("cache_stores", r.stats.cache_stores);
     jw.field("skipped", r.stats.skipped);
     jw.field("skip_rate", skip_rate(r.stats));
-    jw.field("remote_cache_queries", r.stats.remote_cache_queries);
-    jw.field("remote_cache_query_hits", r.stats.remote_cache_query_hits);
     jw.field("remote_frames_sent", r.stats.remote_frames_sent);
     jw.field("remote_frames_received", r.stats.remote_frames_received);
     jw.field("frames_per_window", frames_per_window(r.stats));

@@ -115,10 +115,6 @@ struct Job {
   /// memo_hit came from the tier-2 CacheBackend (persistent store), not
   /// the run-local table: classified kCachedRemote and promoted to tier 1.
   bool from_cache = false;
-  /// A worker served this solve from its memo tier (kReplyBatch `cached`
-  /// tag or a kCacheQuery hit): classified kCachedRemote instead of
-  /// kSolved when the solution applies cleanly.
-  bool cached_remote = false;
   WindowMemo memo;
 };
 
@@ -187,8 +183,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
     fleet_stats.bytes_retransmitted += cs.bytes_retransmitted;
     fleet_stats.bytes_dropped += cs.bytes_dropped;
     fleet_stats.faults_scheduled += cs.faults_scheduled;
-    fleet_stats.cache_queries += cs.cache_queries;
-    fleet_stats.cache_query_hits += cs.cache_query_hits;
     fleet_stats.frames_sent += cs.frames_sent;
     fleet_stats.frames_received += cs.frames_received;
   };
@@ -341,7 +335,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
       // dispatches to workers with retry-once-then-local-fallback. Every
       // job's `out` is filled on return.
       std::vector<dist::RemoteJob> remote;
-      std::vector<Job*> dispatched;  // parallel to `remote`
       for (const auto& job : jobs) {
         if (!prepare(*job)) continue;
         dist::RemoteJob rj;
@@ -351,14 +344,10 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         rj.greedy_fallback = opts.greedy_fallback;
         rj.sig_mip = opts.mip;
         remote.push_back(rj);
-        dispatched.push_back(job.get());
       }
       if (!remote.empty()) {
         coord->solve_batch(d, remote, &cancelled);
-        for (std::size_t j = 0; j < remote.size(); ++j) {
-          dispatched[j]->cached_remote = remote[j].cached;
-          progress.advance();
-        }
+        progress.advance(static_cast<long>(remote.size()));
       }
     } else {
       // Threads backend: windows in a batch touch disjoint cells and the
@@ -439,11 +428,7 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
         WindowMemo m;
         m.sig2 = job->sig.b;  // collision guard; persisted, unlike gen
         m.recorded_gen = inc->generation();
-        // A remote-cache-served solve memoizes as the outcome a fresh
-        // solve would have produced: kCachedRemote only describes *how*
-        // this run obtained it.
-        m.outcome = o == WindowOutcome::kCachedRemote ? WindowOutcome::kSolved
-                                                      : o;
+        m.outcome = o;  // never kCachedRemote: tier-2 hits are memo hits
         m.empty_build = empty_build;
         m.obj_delta = obj_delta;
         m.changed = std::move(changed);
@@ -592,18 +577,8 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
             outcome = WindowOutcome::kFallbackRounding;
             classify(outcome);
           } else {
-            // A worker-cache-served solution that applied and audited
-            // cleanly classifies kCachedRemote; fallback-path results keep
-            // their natural buckets above even when cached (the bucket
-            // describes what the result IS, the cached tag only how the
-            // solved case was obtained).
-            if (job->cached_remote) {
-              ++stats.cached_remote;
-              outcome = WindowOutcome::kCachedRemote;
-            } else {
-              ++stats.solved;
-              outcome = WindowOutcome::kSolved;
-            }
+            ++stats.solved;
+            outcome = WindowOutcome::kSolved;
             classify(outcome);
             obj_delta = job->out.warm_obj - job->out.objective;
             if (job->out.objective < job->out.warm_obj - 1e-9) {
@@ -686,8 +661,6 @@ DistOptStats dist_opt(Design& d, const DistOptOptions& opts,
     stats.wire_bytes_retransmitted = cs.bytes_retransmitted;
     stats.wire_bytes_dropped = cs.bytes_dropped;
     stats.remote_faults_scheduled = cs.faults_scheduled;
-    stats.remote_cache_queries = cs.cache_queries;
-    stats.remote_cache_query_hits = cs.cache_query_hits;
     stats.remote_frames_sent = cs.frames_sent;
     stats.remote_frames_received = cs.frames_received;
   }

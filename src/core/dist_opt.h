@@ -42,7 +42,7 @@ enum class WindowOutcome {
   kKept,              ///< nothing applied (no fallback fired, or deadline)
   kFaulted,           ///< build/solve/apply threw; window left untouched
   kSkipped,           ///< clean signature hit; memoized result replayed
-  kCachedRemote,      ///< clean solve served by a cache tier (no MILP ran)
+  kCachedRemote,      ///< tier-2 (persistent cache) hit replayed, no MILP
 };
 
 const char* to_string(WindowOutcome o);
@@ -164,7 +164,7 @@ struct DistOptStats {
   int kept = 0;              ///< kKept
   int faulted = 0;           ///< kFaulted (exception; window untouched)
   int skipped = 0;           ///< kSkipped (memoized replay; no MILP built)
-  int cached_remote = 0;     ///< kCachedRemote (cache tier served the solve)
+  int cached_remote = 0;     ///< kCachedRemote (tier-2 hit replayed)
   long faults_injected = 0;  ///< fault-injection firings observed (VM1_FAULTS)
   bool deadline_hit = false; ///< pass was cut off by time_budget_sec
   // Incremental-engine observability (zero when no IncrementalState given).
@@ -198,9 +198,7 @@ struct DistOptStats {
   /// CoordinatorStats::faults_scheduled): timing-invariant, unlike the
   /// per-drill counters above.
   long remote_faults_scheduled = 0;
-  // Cache-aware dispatch counters (processes backend only).
-  long remote_cache_queries = 0;    ///< signatures probed via kCacheQuery
-  long remote_cache_query_hits = 0; ///< probes a worker answered with a hit
+  // Frame economy (processes backend only).
   long remote_frames_sent = 0;      ///< frames the coordinator wrote
   long remote_frames_received = 0;  ///< frames the coordinator parsed
   double objective = 0;      ///< full-design objective after this DistOpt

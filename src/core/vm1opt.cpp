@@ -115,8 +115,6 @@ VM1OptStats vm1opt(Design& d, const VM1OptOptions& opts) {
     stats.wire_bytes_retransmitted += s.wire_bytes_retransmitted;
     stats.wire_bytes_dropped += s.wire_bytes_dropped;
     stats.remote_faults_scheduled += s.remote_faults_scheduled;
-    stats.remote_cache_queries += s.remote_cache_queries;
-    stats.remote_cache_query_hits += s.remote_cache_query_hits;
     stats.remote_frames_sent += s.remote_frames_sent;
     stats.remote_frames_received += s.remote_frames_received;
   };

@@ -117,7 +117,7 @@ struct VM1OptStats {
   long kept = 0;
   long faulted = 0;
   long skipped = 0;          ///< kSkipped: memoized replays (no MILP built)
-  long cached_remote = 0;    ///< kCachedRemote: cache tier served the solve
+  long cached_remote = 0;    ///< kCachedRemote: tier-2 hit replayed
   long faults_injected = 0;  ///< VM1_FAULTS firings observed across passes
   bool deadline_hit = false; ///< any pass cut off by its time budget
   // Incremental-engine observability, aggregated over every pass.
@@ -144,11 +144,8 @@ struct VM1OptStats {
   long wire_bytes_retransmitted = 0;
   long wire_bytes_dropped = 0;
   long remote_faults_scheduled = 0;  ///< timing-invariant drill census
-  // Cache-aware dispatch (src/cache + dist::Coordinator remote_cache /
-  // coalesce): probe volume and frame economy. frames-per-window =
+  // Frame economy (dist::Coordinator coalesce): frames-per-window =
   // remote_frames_sent / windows, the quantity coalescing drives < 1.0.
-  long remote_cache_queries = 0;     ///< signatures probed via kCacheQuery
-  long remote_cache_query_hits = 0;  ///< probes answered with a hit
   long remote_frames_sent = 0;       ///< wire frames the coordinator wrote
   long remote_frames_received = 0;   ///< wire frames the coordinator parsed
   /// True when a parameter set's inner loop exited because a full

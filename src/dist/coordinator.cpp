@@ -125,9 +125,8 @@ void CoordinatorOptions::validate() const {
 }
 
 struct Coordinator::Pending {
-  RemoteJob* rj = nullptr;  ///< caller's job entry (results + cached tag)
+  RemoteJob* rj = nullptr;  ///< caller's job entry (result slot)
   int attempts = 0;   ///< remote attempts consumed
-  bool done = false;
 };
 
 struct Coordinator::Slot {
@@ -462,10 +461,8 @@ int Coordinator::heartbeat(double timeout_sec) {
           if (f->type == MsgType::kPong) {
             handle_pong(slot, decode_ping(f->payload).seq);
           } else if (f->type == MsgType::kHello ||
-                     f->type == MsgType::kError ||
-                     f->type == MsgType::kCacheReply) {
-            // Tolerated between batches; nothing is in flight (a late
-            // cache-probe answer is simply a dead letter).
+                     f->type == MsgType::kError) {
+            // Tolerated between batches; nothing is in flight.
           } else {
             throw WireError("unexpected frame during heartbeat");
           }
@@ -527,113 +524,6 @@ void Coordinator::sync(const std::vector<std::pair<int, Placement>>& changed) {
   }
 }
 
-void Coordinator::probe_cache(std::vector<Pending>& pendings,
-                              std::size_t& remaining) {
-  if (!opts_.remote_cache || remaining == 0) return;
-  WireCacheQuery q;
-  q.sigs.reserve(pendings.size());
-  for (const Pending& p : pendings) {
-    if (!p.done) q.sigs.push_back(p.rj->expected_sig);
-  }
-  if (q.sigs.empty()) return;
-
-  // One batched probe per live worker. Establishing a worker just to ask
-  // it would be pointless (a fresh process has an empty memo), so only
-  // already-live connections are queried.
-  struct Waiting {
-    Slot* slot;
-    std::uint64_t query_id;
-    bool answered = false;
-  };
-  std::vector<Waiting> waiting;
-  for (Slot& slot : slots_) {
-    if (!slot.alive) continue;
-    q.query_id = ++seq_;
-    if (!send_frame_to(slot, encode_frame(MsgType::kCacheQuery,
-                                          encode_cache_query(q)))) {
-      continue;  // send_frame_to already tore the slot down
-    }
-    stats_.cache_queries += static_cast<long>(q.sigs.size());
-    waiting.push_back({&slot, q.query_id});
-  }
-  if (waiting.empty()) return;
-
-  auto apply_hits = [&](const WireCacheReply& reply) {
-    for (const WireCacheHit& h : reply.hits) {
-      for (Pending& p : pendings) {
-        if (p.done) continue;
-        if (p.rj->expected_sig.a != h.sig.a ||
-            p.rj->expected_sig.b != h.sig.b) {
-          continue;
-        }
-        *p.rj->result = h.result;
-        p.rj->cached = true;
-        p.done = true;
-        --remaining;
-        ++stats_.cache_query_hits;
-      }
-    }
-  };
-
-  // Probes are pure memo lookups; a worker that stays silent past the
-  // heartbeat timeout is simply treated as all-miss — its windows dispatch
-  // normally and the health machinery is not engaged for slowness here
-  // (EOF/corruption still tears the slot down as usual).
-  const double deadline = clock_.seconds() + opts_.heartbeat_timeout_sec;
-  std::size_t unanswered = waiting.size();
-  while (unanswered > 0) {
-    double wait = deadline - clock_.seconds();
-    if (wait <= 0) break;
-    std::vector<pollfd> fds;
-    std::vector<Waiting*> fd_waiting;
-    for (Waiting& w : waiting) {
-      if (w.answered || !w.slot->alive) continue;
-      fds.push_back(pollfd{w.slot->conn->fd(), POLLIN, 0});
-      fd_waiting.push_back(&w);
-    }
-    if (fds.empty()) break;
-    poll(fds.data(), static_cast<nfds_t>(fds.size()),
-         static_cast<int>(std::min(wait * 1000.0 + 1.0, 100.0)));
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      Waiting& w = *fd_waiting[i];
-      Slot& slot = *w.slot;
-      if (!slot.alive) continue;
-      if (!(fds[i].revents & (POLLIN | POLLHUP | POLLERR))) continue;
-      if (!receive(slot)) {
-        --unanswered;
-        continue;
-      }
-      try {
-        std::optional<Frame> f;
-        while (slot.alive && (f = extract_frame(slot.rbuf))) {
-          ++stats_.frames_received;
-          if (f->type == MsgType::kCacheReply) {
-            WireCacheReply reply;
-            {
-              obs::ScopedTimer t(metrics().deserialize_sec);
-              reply = decode_cache_reply(f->payload);
-            }
-            if (reply.query_id != w.query_id) continue;  // stale probe
-            apply_hits(reply);
-            w.answered = true;
-            --unanswered;
-          } else if (f->type == MsgType::kPong) {
-            handle_pong(slot, decode_ping(f->payload).seq);
-          } else if (f->type == MsgType::kHello ||
-                     f->type == MsgType::kError) {
-            // Tolerated: nothing but the probe is in flight.
-          } else {
-            throw WireError("unexpected frame during cache probe");
-          }
-        }
-      } catch (const WireError& e) {
-        worker_died(slot, e.what());
-        --unanswered;
-      }
-    }
-  }
-}
-
 void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
                               const std::atomic<bool>* cancel) {
   obs::ObsSpan span("dist.solve_batch");
@@ -664,16 +554,9 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) pendings[i].rj = &jobs[i];
   std::size_t remaining = pendings.size();
 
-  // Phase 0: probe live workers' memo tiers in one batched kCacheQuery per
-  // worker. Hits are filled and marked done before a single request frame
-  // is built — the cheapest possible way to serve a window.
-  probe_cache(pendings, remaining);
-
   std::deque<Pending*> queue;
   std::deque<Pending*> local;
-  for (Pending& p : pendings) {
-    if (!p.done) queue.push_back(&p);
-  }
+  for (Pending& p : pendings) queue.push_back(&p);
 
   // Retry budget: a storm of failures must not turn into quadratic
   // re-dispatching — once the batch's budget is spent, further failures
@@ -724,13 +607,12 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
       ++stats_.local_fallbacks;
       metrics().local_fallbacks.add();
       *p->rj->result = solve_window(d, *p->rj->job, cancel);
-      p->done = true;
       --remaining;
     }
     if (remaining == 0) break;
 
     // Dispatch: one kRequestBatch in flight per worker, carrying up to
-    // `coalesce` cache-missing windows (a batch of one by default).
+    // `coalesce` windows (a batch of one by default).
     for (Slot& slot : slots_) {
       if (queue.empty()) break;
       if (!slot.inflight.empty()) continue;
@@ -956,8 +838,6 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
               ++stats_.replies;
               metrics().replies.add();
               *p->rj->result = std::move(entry.reply.result);
-              if (entry.cached) p->rj->cached = true;
-              p->done = true;
               --remaining;
             }
             // The batch answer is complete: any window it omitted was
@@ -965,8 +845,6 @@ void Coordinator::solve_batch(const Design& d, std::vector<RemoteJob>& jobs,
             // those now instead of waiting out the shared deadline.
             fail_all_inflight(slot);
             note_success(slot);
-          } else if (f->type == MsgType::kCacheReply) {
-            // Probe answer that outlived its probe window: a dead letter.
           } else if (f->type == MsgType::kPong) {
             handle_pong(slot, decode_ping(f->payload).seq);
           } else if (f->type == MsgType::kError) {

@@ -99,16 +99,10 @@ struct CoordinatorOptions {
   double retry_budget_factor = 0.5;
   int min_retry_budget = 4;
 
-  /// Cache-aware dispatch (src/cache). When enabled, solve_batch opens
-  /// with one batched kCacheQuery per live worker probing every queued
-  /// window signature; hits are filled from the worker's memo tier before
-  /// any request is built. Probes never establish workers (a cold fleet
-  /// has cold memos) and a silent probe simply counts as all-miss.
-  bool remote_cache = true;
   /// Jobs coalesced per kRequestBatch frame, the only request frame. 1
   /// (the default) sends a batch of one per window; >1 ships up to this
-  /// many cache-missing windows to a worker in a single frame, which is
-  /// what drives frames-per-window below 1.0 on bench_cache.
+  /// many windows to a worker in a single frame, which is what drives
+  /// frames-per-window below 1.0 on bench_cache.
   int coalesce = 1;
 
   /// Throws std::invalid_argument on out-of-range fields.
@@ -144,9 +138,6 @@ struct CoordinatorStats {
   /// is independent of dispatch timing and quarantine state, which is what
   /// lets the fault-storm tests assert on it without flaking.
   long faults_scheduled = 0;
-  // Cache-aware dispatch counters (src/cache).
-  long cache_queries = 0;     ///< signatures probed via kCacheQuery frames
-  long cache_query_hits = 0;  ///< probed signatures a worker had memoized
   long frames_sent = 0;       ///< frames fully handed to the kernel
   long frames_received = 0;   ///< well-framed messages parsed from workers
 };
@@ -165,10 +156,6 @@ struct RemoteJob {
   /// job.mip, and the greedy-fallback flag the worker never runs.
   bool greedy_fallback = true;
   milp::BranchAndBound::Options sig_mip;
-  /// Output: a cache tier served this window without running the MILP —
-  /// either a kCacheQuery probe hit or a worker-side memo hit tagged in
-  /// the reply. dist_opt classifies such windows kCachedRemote.
-  bool cached = false;
 };
 
 class Coordinator {
@@ -240,10 +227,6 @@ class Coordinator {
 
   bool ensure_worker(Slot& slot);
   bool bind_if_stale(Slot& slot, const Design& d);
-  /// Phase-0 cache probe over `pendings`: one kCacheQuery per live worker,
-  /// hits filled and marked done (decrementing `remaining`) before any
-  /// dispatch. No-op when remote_cache is off or no worker is alive.
-  void probe_cache(std::vector<Pending>& pendings, std::size_t& remaining);
   const std::vector<std::uint8_t>& snapshot(const Design& d);
   void worker_died(Slot& slot, const char* why);
   void note_failure(Slot& slot);

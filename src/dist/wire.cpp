@@ -33,10 +33,6 @@ const char* to_string(MsgType t) {
       return "job_result";
     case MsgType::kCancelJob:
       return "cancel_job";
-    case MsgType::kCacheQuery:
-      return "cache_query";
-    case MsgType::kCacheReply:
-      return "cache_reply";
     case MsgType::kRequestBatch:
       return "request_batch";
     case MsgType::kReplyBatch:
@@ -170,7 +166,8 @@ std::optional<Frame> extract_frame(std::vector<std::uint8_t>& buf) {
   if (len > kMaxPayload) throw WireError("wire: oversized frame payload");
   if (type < static_cast<std::uint16_t>(MsgType::kHello) ||
       type > static_cast<std::uint16_t>(MsgType::kReplyBatch) ||
-      type == 3 || type == 4) {  // retired single request/reply
+      type == 3 || type == 4 ||     // retired in v3: single request/reply
+      type == 15 || type == 16) {   // retired in v4: cache probe/answer
     throw WireError("wire: unknown message type " + std::to_string(type));
   }
   if (buf.size() < kFrameHeaderSize + len) return std::nullopt;
@@ -279,9 +276,9 @@ fault::Config get_faults(WireReader& r) {
   return fc;
 }
 
-// The WindowSolveResult codec is shared by reply-batch and kCacheReply hit
-// entries; the cross-field invariants live in get_solve_result so every
-// path that materializes a result enforces them.
+// The WindowSolveResult codec behind every reply; the cross-field
+// invariants live in get_solve_result so every path that materializes a
+// result enforces them.
 void put_solve_result(WireWriter& w, const WindowSolveResult& res) {
   w.boolean(res.failed);
   w.str(res.error);
@@ -519,7 +516,7 @@ WireErrorMsg decode_error(const std::vector<std::uint8_t>& payload) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-aware dispatch messages.
+// Batched dispatch messages.
 
 namespace {
 
@@ -540,62 +537,6 @@ std::vector<std::uint8_t> get_blob(WireReader& r) {
 }
 
 }  // namespace
-
-std::vector<std::uint8_t> encode_cache_query(const WireCacheQuery& q) {
-  WireWriter w;
-  w.u64(q.query_id);
-  w.u32(static_cast<std::uint32_t>(q.sigs.size()));
-  for (const WindowSig& s : q.sigs) {
-    w.u64(s.a);
-    w.u64(s.b);
-  }
-  return w.take();
-}
-
-WireCacheQuery decode_cache_query(const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  WireCacheQuery q;
-  q.query_id = r.u64();
-  std::uint32_t n = r.count(16);
-  q.sigs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WindowSig s;
-    s.a = r.u64();
-    s.b = r.u64();
-    q.sigs.push_back(s);
-  }
-  r.expect_end();
-  return q;
-}
-
-std::vector<std::uint8_t> encode_cache_reply(const WireCacheReply& cr) {
-  WireWriter w;
-  w.u64(cr.query_id);
-  w.u32(static_cast<std::uint32_t>(cr.hits.size()));
-  for (const WireCacheHit& h : cr.hits) {
-    w.u64(h.sig.a);
-    w.u64(h.sig.b);
-    put_solve_result(w, h.result);
-  }
-  return w.take();
-}
-
-WireCacheReply decode_cache_reply(const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  WireCacheReply cr;
-  cr.query_id = r.u64();
-  std::uint32_t n = r.count(16);
-  cr.hits.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WireCacheHit h;
-    h.sig.a = r.u64();
-    h.sig.b = r.u64();
-    h.result = get_solve_result(r);
-    cr.hits.push_back(std::move(h));
-  }
-  r.expect_end();
-  return cr;
-}
 
 std::vector<std::uint8_t> encode_request_batch(const WireRequestBatch& b) {
   WireWriter w;
@@ -622,7 +563,6 @@ std::vector<std::uint8_t> encode_reply_batch(const WireReplyBatch& b) {
   w.u32(static_cast<std::uint32_t>(b.entries.size()));
   for (const WireBatchEntry& e : b.entries) {
     w.u8(e.is_error ? 1 : 0);
-    w.boolean(e.cached);
     put_blob(w, e.is_error ? encode_error(e.error) : encode_reply(e.reply));
   }
   return w.take();
@@ -631,7 +571,7 @@ std::vector<std::uint8_t> encode_reply_batch(const WireReplyBatch& b) {
 WireReplyBatch decode_reply_batch(const std::vector<std::uint8_t>& payload) {
   WireReader r(payload);
   WireReplyBatch b;
-  std::uint32_t n = r.count(6);
+  std::uint32_t n = r.count(5);  // kind byte + blob length
   b.entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     WireBatchEntry e;
@@ -640,7 +580,6 @@ WireReplyBatch decode_reply_batch(const std::vector<std::uint8_t>& payload) {
       throw WireError("wire: reply-batch entry kind out of range");
     }
     e.is_error = kind != 0;
-    e.cached = r.boolean();
     std::vector<std::uint8_t> blob = get_blob(r);
     if (e.is_error) {
       e.error = decode_error(blob);

@@ -3,9 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -53,100 +51,21 @@ std::vector<int> incident_nets_of(const Design& d,
   return nets;
 }
 
-/// Worker-side memo tier: full-signature -> WindowSolveResult, bounded by
-/// entry and byte caps with FIFO eviction. The worker already recomputes
-/// the canonical window signature for every request (the desync check), so
-/// a probe costs one hash lookup; a hit skips the MILP entirely and
-/// replays the recorded result, which is bit-identical to re-solving
-/// because the signature covers every solve input. Kept across
-/// kBindDesign: signatures are content-complete, so entries from an old
-/// replica stay valid for identical windows of a new one.
-class MemoTier {
- public:
-  static constexpr std::size_t kMaxEntries = 1u << 16;
-  static constexpr std::size_t kMaxBytes = 64u << 20;
-
-  const WindowSolveResult* lookup(const WindowSig& sig) const {
-    auto it = map_.find(sig.a);
-    if (it == map_.end() || it->second.first != sig.b) return nullptr;
-    return &it->second.second;
-  }
-
-  void store(const WindowSig& sig, const WindowSolveResult& res) {
-    static obs::Counter& evict_metric =
-        obs::counter("dist.worker.memo_evictions");
-    auto it = map_.find(sig.a);
-    if (it != map_.end()) {
-      bytes_ -= cost(it->second.second);
-      bytes_ += cost(res);
-      it->second = {sig.b, res};
-    } else {
-      bytes_ += cost(res);
-      fifo_.push_back(sig.a);
-      map_.emplace(sig.a, std::make_pair(sig.b, res));
-    }
-    while ((map_.size() > kMaxEntries || bytes_ > kMaxBytes) &&
-           !fifo_.empty()) {
-      std::uint64_t victim = fifo_.front();
-      fifo_.pop_front();
-      auto vit = map_.find(victim);
-      if (vit == map_.end()) continue;
-      bytes_ -= cost(vit->second.second);
-      map_.erase(vit);
-      evict_metric.add();
-    }
-  }
-
- private:
-  static std::size_t cost(const WindowSolveResult& r) {
-    return sizeof(WindowSolveResult) + 64 + r.error.size() +
-           r.cells.size() * sizeof(int) +
-           r.placements.size() * sizeof(Placement);
-  }
-
-  std::unordered_map<std::uint64_t, std::pair<std::uint64_t,
-                                              WindowSolveResult>>
-      map_;
-  std::deque<std::uint64_t> fifo_;
-  std::size_t bytes_ = 0;
-};
-
-/// True iff the request's solve limits equal the pass's signature limits —
-/// i.e. no deadline adjustment truncated this solve. Only such results are
-/// memoizable: the signature hashes sig_mip, so a memo hit must replay a
-/// solve that actually ran under those limits.
-bool mip_matches_sig(const milp::BranchAndBound::Options& a,
-                     const milp::BranchAndBound::Options& b) {
-  return a.max_nodes == b.max_nodes && a.time_limit_sec == b.time_limit_sec &&
-         a.int_tol == b.int_tol && a.gap_tol == b.gap_tol &&
-         a.use_warm_start == b.use_warm_start &&
-         a.lp_options.max_iterations == b.lp_options.max_iterations &&
-         a.lp_options.time_limit_sec == b.lp_options.time_limit_sec &&
-         a.lp_options.tol == b.lp_options.tol &&
-         a.lp_options.pivot_tol == b.lp_options.pivot_tol;
-}
-
 /// Outcome of processing one (already decoded) request: either a reply or
-/// a typed error, plus the drill/cache flags the caller's send path needs.
+/// a typed error, plus the drill flag the caller's send path needs.
 struct RequestOutcome {
   bool is_error = false;
-  bool cached = false;      ///< served from the memo tier, MILP skipped
   bool reply_drop = false;  ///< reply_drop drill fired: say nothing
   WireReply reply;
   WireErrorMsg error;
 };
 
-/// Validates, signature-checks, and solves (or memo-serves) one request of
-/// a batch; everything transport-level (the reply frame, slow-loris/corrupt
-/// drills) stays with handle_request_batch.
-RequestOutcome process_request(const Design* design, const WireRequest& rq,
-                               MemoTier& memo) {
+/// Validates, signature-checks, and solves one request of a batch;
+/// everything transport-level (the reply frame, slow-loris/corrupt drills)
+/// stays with handle_request_batch.
+RequestOutcome process_request(const Design* design, const WireRequest& rq) {
   static obs::Counter& requests_metric = obs::counter("dist.worker.requests");
   static obs::Counter& desyncs_metric = obs::counter("dist.worker.desyncs");
-  static obs::Counter& memo_hits_metric =
-      obs::counter("dist.worker.memo_hits");
-  static obs::Counter& memo_stores_metric =
-      obs::counter("dist.worker.memo_stores");
   static obs::Histogram& solve_sec_metric =
       obs::histogram("dist_opt.window_solve_sec");
 
@@ -207,25 +126,9 @@ RequestOutcome process_request(const Design* design, const WireRequest& rq,
   }
 
   out.reply.req_id = rq.req_id;
-  // Memo probe rides on the signature just verified. Only exact-limit
-  // solves are served: a deadline-adjusted request (job.mip != sig_mip)
-  // must really run under its truncated limits.
-  const bool exact_limits = mip_matches_sig(rq.job.mip, rq.sig_mip);
-  if (exact_limits) {
-    if (const WindowSolveResult* hit = memo.lookup(sig)) {
-      memo_hits_metric.add();
-      span.arg("outcome", "memo_hit");
-      out.cached = true;
-      out.reply.result = *hit;
-    }
-  }
-  if (!out.cached) {
+  {
     obs::ScopedTimer t(solve_sec_metric);
     out.reply.result = solve_window(*design, rq.job, /*cancel=*/nullptr);
-    if (exact_limits && !out.reply.result.failed) {
-      memo.store(sig, out.reply.result);
-      memo_stores_metric.add();
-    }
   }
 
   if (fault::config().enabled() &&
@@ -279,8 +182,7 @@ bool send_reply_frame(int fd, std::vector<std::uint8_t> frame,
 /// a hung worker. The frame-level drills are keyed on the first request,
 /// so a batch behaves like one big reply on the wire.
 bool handle_request_batch(int fd, const Design* design,
-                          const std::vector<std::uint8_t>& payload,
-                          MemoTier& memo) {
+                          const std::vector<std::uint8_t>& payload) {
   WireRequestBatch batch;
   try {
     batch = decode_request_batch(payload);
@@ -293,11 +195,10 @@ bool handle_request_batch(int fd, const Design* design,
   WireReplyBatch rb;
   rb.entries.reserve(batch.requests.size());
   for (const WireRequest& rq : batch.requests) {
-    RequestOutcome out = process_request(design, rq, memo);
+    RequestOutcome out = process_request(design, rq);
     if (out.reply_drop) continue;
     WireBatchEntry e;
     e.is_error = out.is_error;
-    e.cached = out.cached;
     if (out.is_error) {
       e.error = std::move(out.error);
     } else {
@@ -311,34 +212,6 @@ bool handle_request_batch(int fd, const Design* design,
       batch.requests.front().job.key, batch.requests.front().job.widx);
 }
 
-/// Handles one kCacheQuery frame: answers with the memo tier's hits for
-/// the probed signatures. Pure lookup — no fault drills fire here (the
-/// coordinator treats any probe failure as all-miss, so drilling the probe
-/// would only re-test the request path's coverage).
-bool handle_cache_query(int fd, const std::vector<std::uint8_t>& payload,
-                        const MemoTier& memo) {
-  static obs::Counter& queries_metric =
-      obs::counter("dist.worker.cache_queries");
-  static obs::Counter& query_hits_metric =
-      obs::counter("dist.worker.cache_query_hits");
-  WireCacheQuery q;
-  try {
-    q = decode_cache_query(payload);
-  } catch (const WireError& e) {
-    return send_error(fd, 0, ErrorCode::kBadRequest, e.what());
-  }
-  queries_metric.add();
-  WireCacheReply cr;
-  cr.query_id = q.query_id;
-  for (const WindowSig& sig : q.sigs) {
-    if (const WindowSolveResult* hit = memo.lookup(sig)) {
-      query_hits_metric.add();
-      cr.hits.push_back({sig, *hit});
-    }
-  }
-  return send_frame(fd, MsgType::kCacheReply, encode_cache_reply(cr));
-}
-
 }  // namespace
 
 int run_worker(int fd, bool send_hello) {
@@ -350,7 +223,6 @@ int run_worker(int fd, bool send_hello) {
   }
 
   std::optional<Design> design;
-  MemoTier memo;
   std::vector<std::uint8_t> rbuf;
   std::uint8_t chunk[1 << 16];
   for (;;) {
@@ -399,12 +271,9 @@ int run_worker(int fd, bool send_hello) {
         break;
       case MsgType::kRequestBatch:
         if (!handle_request_batch(fd, design ? &*design : nullptr,
-                                  f->payload, memo)) {
+                                  f->payload)) {
           return 1;
         }
-        break;
-      case MsgType::kCacheQuery:
-        if (!handle_cache_query(fd, f->payload, memo)) return 1;
         break;
       case MsgType::kPing:
         try {

@@ -13,11 +13,17 @@
 ///      entry per request (kDesync when the recomputed window signature
 ///      disagrees with the request's expected signature — the replica
 ///      missed a sync);
-///   4. kCacheQuery -> kCacheReply with the memo tier's hits;
-///   5. kSync applies placement deltas (one-way, no reply);
-///   6. kPing -> kPong echoing the sequence number (heartbeat);
-///   7. kShutdown (or EOF) ends the loop.
+///   4. kSync applies placement deltas (one-way, no reply);
+///   5. kPing -> kPong echoing the sequence number (heartbeat);
+///   6. kShutdown (or EOF) ends the loop.
 ///
+/// Any other frame type is answered with a kBadRequest error; a retired
+/// or unknown type number (e.g. 15/16, the v3 cache probe) never decodes
+/// at all and ends the loop as an unrecoverable stream error.
+///
+/// The worker is a stateless solver: it keeps nothing across requests but
+/// the design replica, so every request runs its MILP. Cross-run reuse is
+/// the coordinator's job (the run-local memo and the persistent cache).
 /// run_worker is also callable in-process from tests: it owns no global
 /// state besides the fault config the requests carry.
 #pragma once

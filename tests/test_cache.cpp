@@ -14,8 +14,10 @@
 /// Layer 3 is the acceptance check: a warm rerun through a persistent
 /// store must serve its windows from cache (no MILP) while producing
 /// bit-identical placements, objective, and HPWL — clean and under the
-/// 25% fault storm — and the worker memo tier must do the same for the
-/// processes backend (kCachedRemote), including coalesced dispatch.
+/// 25% fault storm. Layer 3b covers the processes backend: workers are
+/// stateless, so a repeat run on a warm fleet re-solves bit-identically,
+/// coalesced dispatch changes nothing, and a job resubmitted to the
+/// placement service is served from the shared store.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,8 +33,10 @@
 #include "core/vm1opt.h"
 #include "design/legality.h"
 #include "dist/coordinator.h"
+#include "obs/metrics.h"
 #include "place/global_placer.h"
 #include "place/legalizer.h"
+#include "svc/job_manager.h"
 #include "util/fault_injection.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -510,7 +514,8 @@ TEST_F(CacheEquivFaults, WarmRerunIsBitIdenticalUnderTheFaultStorm) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3b: the remote tiers — worker memos and coalesced dispatch.
+// Layer 3b: the processes backend — stateless workers, coalesced dispatch,
+// and the service's shared store.
 
 CacheRun run_remote(std::uint64_t seed, dist::Coordinator* coord) {
   Design d = cache_design(seed);
@@ -528,22 +533,82 @@ CacheRun run_remote(std::uint64_t seed, dist::Coordinator* coord) {
   return r;
 }
 
-TEST(RemoteCacheTier, WorkerMemoServesRepeatRunsAsCachedRemote) {
+TEST(RemoteCacheTier, WarmFleetRepeatRunWithoutCacheIsBitIdentical) {
   dist::CoordinatorOptions co;
   co.num_workers = 2;
   dist::Coordinator coord(co);
   CacheRun first = run_remote(21, &coord);
-  EXPECT_EQ(first.stats.cached_remote, 0)
-      << "a cold fleet has nothing memoized";
-  // Same design, same signatures, same (still warm) workers: the second
-  // run's solves come back from the worker memo tier — tagged cached on
-  // the wire and classified kCachedRemote — or from the batched
-  // kCacheQuery probe before dispatch.
+  // Same design, same signatures, same (still warm) workers. Workers keep
+  // no memo and no persistent cache is attached, so the rerun solves
+  // every window again on the fleet and must land on the identical state.
   CacheRun second = run_remote(21, &coord);
   expect_identical(second, first, 21);
-  EXPECT_GT(second.stats.cached_remote, 0);
-  EXPECT_GT(second.stats.remote_cache_queries, 0)
-      << "dispatch must probe the fleet before sending solves";
+  EXPECT_EQ(first.stats.cached_remote, 0);
+  EXPECT_EQ(second.stats.cached_remote, 0)
+      << "only a persistent-cache hit classifies kCachedRemote";
+  EXPECT_GT(second.stats.remote_replies, 0) << "the rerun must use the fleet";
+  EXPECT_GT(second.stats.milp_nodes, 0);
+  EXPECT_EQ(second.stats.milp_nodes, first.stats.milp_nodes);
+}
+
+/// Service-side repeat jobs: the one cross-run reuse path left for a
+/// shared fleet is the JobManager's tier-2 store.
+class ServiceCacheTier : public StoreFixture {};
+
+TEST_F(ServiceCacheTier, ResubmittedJobIsServedFromTheStoreBitIdentically) {
+  cache::StoreOptions so = opts();
+  so.epoch = cache::default_epoch();
+  cache::CacheStore store(so);
+  cache::PersistentCache pc(&store);
+  dist::CoordinatorOptions co;
+  co.num_workers = 2;
+  dist::Coordinator coord(co);
+  svc::JobManagerOptions mo;
+  mo.tenants = {svc::TenantConfig{"acme", 1.0, 4}};
+  mo.max_running = 1;
+  mo.coordinator = &coord;
+  mo.cache = &pc;
+  svc::JobManager mgr(mo);
+
+  auto run_job = [&mgr]() {
+    const VM1OptOptions o = cache_opts();
+    svc::JobSpec spec;
+    spec.tenant = "acme";
+    spec.design = cache_design(31);
+    spec.sequence = o.sequence;
+    spec.theta = o.theta;
+    spec.max_inner_iters = o.max_inner_iters;
+    spec.incremental = true;  // the store is only consulted incrementally
+    spec.params = o.params;
+    spec.mip = o.mip;
+    svc::JobManager::Submission sub = mgr.submit(std::move(spec));
+    EXPECT_TRUE(sub.accepted) << sub.reason;
+    EXPECT_TRUE(mgr.wait_all_terminal(240));
+    std::optional<svc::JobOutcome> out = mgr.result(sub.id);
+    return out ? *out : svc::JobOutcome{};
+  };
+
+  obs::Counter& tenant_hits = obs::counter("svc.tenant.acme.cache_hits");
+  const long tenant_hits0 = tenant_hits.value();
+  svc::JobOutcome cold = run_job();
+  ASSERT_EQ(cold.state, dist::JobState::kDone) << cold.error;
+  EXPECT_GT(cold.solved, 0);
+  EXPECT_GT(pc.stores(), 0);
+  EXPECT_EQ(pc.hits(), 0) << "a cold store serves nothing";
+  const long cold_misses = pc.misses();
+
+  svc::JobOutcome warm = run_job();
+  ASSERT_EQ(warm.state, dist::JobState::kDone) << warm.error;
+  EXPECT_EQ(warm.placements, cold.placements);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_EQ(warm.windows, cold.windows);
+  EXPECT_GT(pc.hits(), 0);
+  EXPECT_GT(tenant_hits.value(), tenant_hits0)
+      << "svc.tenant.acme.cache_hits must count the replayed windows";
+  // Zero MILP nodes: a window reaches a MILP only after missing both the
+  // run-local memo and the store, and the rerun missed the store nowhere.
+  EXPECT_EQ(pc.misses(), cold_misses);
+  EXPECT_EQ(warm.solved, 0);
 }
 
 TEST(RemoteCacheTier, CoalescedDispatchIsBitIdentical) {

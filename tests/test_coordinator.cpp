@@ -3,8 +3,8 @@
 /// Layer 1 drives run_worker() in-process over a socketpair — the exact
 /// loop the vm1_worker executable runs — and checks the protocol: hello,
 /// replica binding, signature-checked request batches, sync deltas, typed
-/// desync and bad-request errors, reply-drop silence, memo tags, orderly
-/// shutdown.
+/// desync and bad-request errors, reply-drop silence, retired frame
+/// types, orderly shutdown.
 ///
 /// Layer 2 runs whole dist_opt()/Coordinator passes against real worker
 /// subprocesses: results must be bit-identical to the threads backend,
@@ -34,6 +34,7 @@
 #include "dist/wire.h"
 #include "dist/worker.h"
 #include "design/legality.h"
+#include "obs/metrics.h"
 #include "place/global_placer.h"
 #include "place/legalizer.h"
 #include "util/fault_injection.h"
@@ -295,7 +296,7 @@ TEST_F(WorkerProtocol, OutOfRangeInstanceIsBadRequestNotUB) {
   EXPECT_EQ(w.finish(), 0);
 }
 
-TEST_F(WorkerProtocol, ReplyDropSilenceBatchOmissionAndMemoTag) {
+TEST_F(WorkerProtocol, ReplyDropSilenceAndBatchOmission) {
   Design d = placed_design(5);
   DistOptOptions o = base_opts();
   // The signature hashes the fault config the request ships, so the
@@ -335,17 +336,37 @@ TEST_F(WorkerProtocol, ReplyDropSilenceBatchOmissionAndMemoTag) {
   ASSERT_EQ(rb.entries.size(), 1u);
   ASSERT_FALSE(rb.entries[0].is_error);
   EXPECT_EQ(rb.entries[0].reply.req_id, clean.req_id);
-  EXPECT_FALSE(rb.entries[0].cached);
 
-  // Re-sending the solved request hits the worker's memo tier.
+  // Workers keep no memo: re-sending the solved request (what a retry
+  // after a lost reply does) runs the solve again, bit-identically. The
+  // in-process worker shares this process's metric registry, so its solve
+  // histogram shows the second solve.
+  obs::Histogram& solves = obs::histogram("dist_opt.window_solve_sec");
+  const std::uint64_t solves_before = solves.snapshot().count;
   WireBatchEntry again = w.solve(clean);
   ASSERT_FALSE(again.is_error);
-  EXPECT_TRUE(again.cached);
+  EXPECT_EQ(solves.snapshot().count, solves_before + 1)
+      << "the resent request must be solved, not replayed";
+  EXPECT_EQ(again.reply.result.nodes, rb.entries[0].reply.result.nodes);
   EXPECT_EQ(again.reply.result.placements,
             rb.entries[0].reply.result.placements);
 
   w.send(MsgType::kShutdown, {});
   EXPECT_EQ(w.finish(), 0);
+}
+
+TEST_F(WorkerProtocol, RetiredCacheProbeTypesEndTheStreamUnanswered) {
+  // 15/16 carried the v3 worker cache probe. A v4 worker cannot even frame
+  // them: the stream is unrecoverable (exit code 2) and nothing is sent
+  // back, so a stale coordinator sees EOF rather than a bogus answer.
+  for (std::uint16_t retired : {15, 16}) {
+    WorkerHarness w;
+    ASSERT_EQ(w.recv().type, MsgType::kHello);
+    w.send(static_cast<MsgType>(retired), {1, 2, 3});
+    EXPECT_THROW(w.recv(), WireError) << "type " << retired;
+    EXPECT_TRUE(w.rbuf.empty()) << "type " << retired << " was answered";
+    EXPECT_EQ(w.finish(), 2) << "type " << retired;
+  }
 }
 
 /// Runs one dist_opt pass; `coordinator` null means threads backend.

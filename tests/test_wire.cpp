@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "cache/solve_cache.h"
 #include "core/window.h"
 #include "core/window_solve.h"
 #include "dist/wire.h"
@@ -90,42 +91,20 @@ WireRequestBatch sample_request_batch(std::uint64_t seed) {
   return b;
 }
 
-/// Reply batch mixing a fresh reply, a memo-served one, and a typed error.
+/// Reply batch mixing two replies and a typed error.
 WireReplyBatch sample_reply_batch(std::uint64_t seed) {
   WireReplyBatch b;
-  WireBatchEntry solved;
-  solved.reply = sample_reply(seed);
-  WireBatchEntry cached;
-  cached.cached = true;
-  cached.reply = sample_reply(seed + 1);
+  WireBatchEntry first;
+  first.reply = sample_reply(seed);
+  WireBatchEntry second;
+  second.reply = sample_reply(seed + 1);
   WireBatchEntry error;
   error.is_error = true;
   error.error.req_id = seed;
   error.error.code = ErrorCode::kDesync;
   error.error.message = "window signature mismatch";
-  b.entries = {solved, cached, error};
+  b.entries = {first, second, error};
   return b;
-}
-
-WireCacheQuery sample_cache_query(std::uint64_t seed) {
-  Rng rng(seed);
-  WireCacheQuery q;
-  q.query_id = rng.next();
-  for (int i = 0; i < 3; ++i) {
-    q.sigs.push_back(WindowSig{rng.next(), rng.next()});
-  }
-  return q;
-}
-
-WireCacheReply sample_cache_reply(std::uint64_t seed) {
-  Rng rng(seed);
-  WireCacheReply r;
-  r.query_id = rng.next();
-  for (std::uint64_t k = 0; k < 2; ++k) {
-    r.hits.push_back(
-        {WindowSig{rng.next(), rng.next()}, sample_reply(seed + k).result});
-  }
-  return r;
 }
 
 void expect_same_result(const WindowSolveResult& a,
@@ -206,17 +185,20 @@ TEST(WireFrame, RejectsBadMagicVersionTypeAndChecksum) {
   EXPECT_THROW(extract_frame(bad_payload), WireError);
 
   // Types 3 and 4 were the single request/reply frames, retired in v3;
-  // v2 frames are refused like any other version.
-  for (std::uint8_t retired : {3, 4}) {
+  // 15 and 16 were the worker cache probe/answer, retired in v4. Frames
+  // of older versions are refused like any other version mismatch.
+  for (std::uint8_t retired : {3, 4, 15, 16}) {
     std::vector<std::uint8_t> old_type = good;
     old_type[6] = retired;
     old_type[7] = 0;
     EXPECT_THROW(extract_frame(old_type), WireError) << "type " << +retired;
   }
-  std::vector<std::uint8_t> v2 = good;
-  v2[4] = 2;
-  v2[5] = 0;
-  EXPECT_THROW(extract_frame(v2), WireError);
+  for (std::uint8_t old_version : {2, 3}) {
+    std::vector<std::uint8_t> old = good;
+    old[4] = old_version;
+    old[5] = 0;
+    EXPECT_THROW(extract_frame(old), WireError) << "version " << +old_version;
+  }
 }
 
 TEST(WireMessages, HelloErrorSyncRoundTrip) {
@@ -330,7 +312,6 @@ TEST(WireMessages, ReplyBatchRoundTripsEntriesAndCachedTags) {
     const WireBatchEntry& want = b.entries[i];
     const WireBatchEntry& got = b2.entries[i];
     EXPECT_EQ(got.is_error, want.is_error) << "entry " << i;
-    EXPECT_EQ(got.cached, want.cached) << "entry " << i;
     if (want.is_error) {
       EXPECT_EQ(got.error.req_id, want.error.req_id);
       EXPECT_EQ(got.error.code, want.error.code);
@@ -340,27 +321,16 @@ TEST(WireMessages, ReplyBatchRoundTripsEntriesAndCachedTags) {
       expect_same_result(got.reply.result, want.reply.result);
     }
   }
-}
 
-TEST(WireMessages, CacheQueryAndReplyRoundTrip) {
-  WireCacheQuery q = sample_cache_query(17);
-  WireCacheQuery q2 = decode_cache_query(encode_cache_query(q));
-  EXPECT_EQ(q2.query_id, q.query_id);
-  ASSERT_EQ(q2.sigs.size(), q.sigs.size());
-  for (std::size_t i = 0; i < q.sigs.size(); ++i) {
-    EXPECT_EQ(q2.sigs[i].a, q.sigs[i].a);
-    EXPECT_EQ(q2.sigs[i].b, q.sigs[i].b);
+  // v4 layout: an entry is its kind byte plus the length-prefixed payload;
+  // the memo-served `cached` tag byte of v3 is gone.
+  std::size_t want_size = 4;
+  for (const WireBatchEntry& e : b.entries) {
+    want_size += 1 + 4 +
+                 (e.is_error ? encode_error(e.error) : encode_reply(e.reply))
+                     .size();
   }
-
-  WireCacheReply r = sample_cache_reply(19);
-  WireCacheReply r2 = decode_cache_reply(encode_cache_reply(r));
-  EXPECT_EQ(r2.query_id, r.query_id);
-  ASSERT_EQ(r2.hits.size(), r.hits.size());
-  for (std::size_t i = 0; i < r.hits.size(); ++i) {
-    EXPECT_EQ(r2.hits[i].sig.a, r.hits[i].sig.a);
-    EXPECT_EQ(r2.hits[i].sig.b, r.hits[i].sig.b);
-    expect_same_result(r2.hits[i].result, r.hits[i].result);
-  }
+  EXPECT_EQ(encode_reply_batch(b).size(), want_size);
 }
 
 TEST(WireDesign, ReplicaRoundTripsToIdenticalDigest) {
@@ -502,18 +472,21 @@ TEST(WireFuzz, MutatedPayloadsNeverEscapeWireError) {
   }
 }
 
-/// Same payload-level fuzz for the dispatch and cache-probe codecs: a
-/// batch decoder facing a damaged length prefix or entry kind must throw
-/// WireError, never over-read or over-allocate.
+/// Same payload-level fuzz for the dispatch codecs and the solve-cache
+/// record codec: a batch decoder facing a damaged length prefix or entry
+/// kind must throw WireError, and the memo decoder must answer nullopt —
+/// neither may over-read or over-allocate.
 TEST(WireFuzz, MutatedBatchAndCachePayloadsNeverEscapeWireError) {
   const std::vector<std::uint8_t> request_batch =
       encode_request_batch(sample_request_batch(21));
   const std::vector<std::uint8_t> reply_batch =
       encode_reply_batch(sample_reply_batch(22));
-  const std::vector<std::uint8_t> cache_query =
-      encode_cache_query(sample_cache_query(23));
-  const std::vector<std::uint8_t> cache_reply =
-      encode_cache_reply(sample_cache_reply(24));
+  WindowMemo memo;
+  memo.sig2 = 0x0123456789abcdefULL;
+  memo.outcome = WindowOutcome::kSolved;
+  memo.obj_delta = -2.5;
+  memo.changed = {{3, Placement{40, 1, true}}, {6, Placement{-8, 0, false}}};
+  const std::vector<std::uint8_t> memo_bytes = cache::encode_memo(memo);
 
   Rng rng(4242);
   auto mutate = [&rng](std::vector<std::uint8_t> b) {
@@ -534,14 +507,8 @@ TEST(WireFuzz, MutatedBatchAndCachePayloadsNeverEscapeWireError) {
       decode_reply_batch(mutate(reply_batch));
     } catch (const WireError&) {
     }
-    try {
-      decode_cache_query(mutate(cache_query));
-    } catch (const WireError&) {
-    }
-    try {
-      decode_cache_reply(mutate(cache_reply));
-    } catch (const WireError&) {
-    }
+    std::vector<std::uint8_t> m = mutate(memo_bytes);
+    EXPECT_NO_THROW(cache::decode_memo(m.data(), m.size()));
   }
 }
 
