@@ -2,12 +2,14 @@
 /// Window-solve worker process (see DESIGN.md "Distributed window
 /// solving"). Two attach modes:
 ///
-///   --fd=N               socketpair end inherited from a fork/exec'ing
-///                        dist::Coordinator (the original PR 5 path);
-///   --connect=HOST:PORT  TCP attach to a coordinator's listener, with
-///                        bounded-backoff connect retries and the
-///                        nonce/HMAC auth handshake (dist/tcp.h). The
-///                        shared secret comes from $VM1_DIST_SECRET.
+///   --fd=N               socketpair end inherited from the
+///                        dist::Coordinator that fork/exec'd it — how
+///                        every self-spawned fleet is launched;
+///   --connect=HOST:PORT  remote attach, launched out-of-band: TCP connect
+///                        to an accept-only dist::TcpTransport listener,
+///                        with bounded-backoff retries and the nonce/HMAC
+///                        auth handshake (dist/tcp.h). The shared secret
+///                        comes from $VM1_DIST_SECRET.
 ///
 /// Serves kRequestBatch frames until kShutdown/EOF.
 ///
@@ -28,8 +30,9 @@ namespace {
 constexpr const char* kUsage =
     "usage: vm1_worker --fd=N | --connect=HOST:PORT [--attempts=K]\n"
     "Not a standalone tool: it attaches to a dist::Coordinator\n"
-    "(dist/coordinator.h) — over an inherited socketpair (--fd) or a TCP\n"
-    "listener (--connect; auth secret from $VM1_DIST_SECRET).\n";
+    "(dist/coordinator.h) — over the socketpair the coordinator spawned it\n"
+    "with (--fd), or by remote attach to its TCP listener (--connect; auth\n"
+    "secret from $VM1_DIST_SECRET).\n";
 
 }  // namespace
 

@@ -51,7 +51,7 @@ long find_counter(const obs::MetricsSnapshot& snap, const char* name) {
 /// unregressed: wall within +5% of the threads baseline doing identical
 /// node-limited arithmetic, bit-identical objective, and a completely silent
 /// supervision layer (no retries, fallbacks, or restarts on a healthy
-/// loopback fleet). On a host with >= 2 hardware threads the budget is the
+/// local fleet). On a host with >= 2 hardware threads the budget is the
 /// headline +5%; on a 1-core host every backend serializes onto one CPU, the
 /// wire is irreducible extra work, and scheduler noise alone spans ~15%, so
 /// the gate only guards against gross regression there. Overridable via

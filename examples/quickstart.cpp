@@ -3,17 +3,13 @@
 // metrics.
 //
 //   $ ./quickstart [design] [alpha_nm] [--backend=threads|processes]
-//                  [--workers=N] [--transport=socketpair|tcp] [--port=P]
-//                  [--cache=DIR]
+//                  [--workers=N] [--cache=DIR]
 //
 // design: tiny | m0 | aes | jpeg | vga  (default aes, FlowOptions default)
 // alpha_nm: paper-style alpha in nm HPWL units (default 1200)
 // --backend=processes solves windows in vm1_worker subprocesses over the
 // src/dist wire protocol (bit-identical results to threads); --workers
 // sets the subprocess count (default 2).
-// --transport=tcp listens on 127.0.0.1:P (--port, default ephemeral) and
-// the workers attach over loopback TCP with the HMAC handshake ($VM1_DIST_SECRET
-// if set). Implies --backend=processes.
 // --cache=DIR opens (or creates) a persistent solve cache there; a second
 // run with the same DIR serves its window solves from the store,
 // bit-identical to solving. The summary line reports hits/stores.
@@ -48,20 +44,11 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       flow.vm1.dist_workers = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      std::string t = argv[i] + 12;
-      if (t == "tcp") {
-        flow.vm1.backend = DistBackend::kProcesses;
-        flow.vm1.dist_transport = DistTransport::kTcp;
-      } else if (t != "socketpair") {
-        std::fprintf(stderr, "unknown transport '%s' (socketpair|tcp)\n",
-                     t.c_str());
-        return 64;
-      }
-    } else if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      flow.vm1.dist_tcp_port = std::atoi(argv[i] + 7);
     } else if (std::strncmp(argv[i], "--cache=", 8) == 0) {
       cache_dir = argv[i] + 8;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
+      return 64;
     } else if (pos == 0) {
       flow.design_name = argv[i];
       ++pos;
@@ -92,12 +79,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf("OpenVM1 quickstart: design=%s arch=%s alpha=%.0fnm "
-              "backend=%s%s\n",
+              "backend=%s\n",
               flow.design_name.c_str(), to_string(flow.arch), alpha_nm,
               flow.vm1.backend == DistBackend::kProcesses ? "processes"
-                                                          : "threads",
-              flow.vm1.dist_transport == DistTransport::kTcp ? " (tcp)"
-                                                             : "");
+                                                          : "threads");
 
   FlowResult r = run_flow(flow);
 

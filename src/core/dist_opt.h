@@ -56,14 +56,6 @@ enum class DistBackend {
   kProcesses,  ///< worker processes via a dist::Coordinator (src/dist)
 };
 
-/// Transport underneath the processes backend (see dist/transport.h):
-/// fork/exec'd socketpair children, or TCP workers attaching to the
-/// coordinator's listener after the nonce/HMAC handshake (dist/tcp.h).
-enum class DistTransport {
-  kSocketpair,  ///< single-host fork/exec (the default)
-  kTcp,         ///< TCP listener; loopback self-spawn or remote attach
-};
-
 class IncrementalState;  // core/incremental.h
 
 /// Fleet-sharing gate for the placement service (src/svc). When a

@@ -52,18 +52,9 @@ VM1OptStats vm1opt(Design& d, const VM1OptOptions& opts) {
       dist::CoordinatorOptions co;
       co.num_workers = opts.dist_workers;
       co.worker_path = opts.dist_worker_path;
-      co.transport = opts.dist_transport == DistTransport::kTcp
-                         ? dist::TransportKind::kTcp
-                         : dist::TransportKind::kSocketpair;
-      co.tcp_host = opts.dist_tcp_host;
-      co.tcp_port = opts.dist_tcp_port;
-      co.secret = opts.dist_secret;
       coord.emplace(co);
       run_coord = &*coord;
       run_span.arg("backend", "processes");
-      run_span.arg("transport", opts.dist_transport == DistTransport::kTcp
-                                    ? "tcp"
-                                    : "socketpair");
     }
   } else {
     pool.emplace(opts.threads);

@@ -51,24 +51,18 @@ struct VM1OptOptions {
   DistBackend backend = DistBackend::kThreads;
   int dist_workers = 2;
   /// Worker executable for the processes backend; empty uses $VM1_WORKER,
-  /// then the build-baked default (apps/vm1_worker).
+  /// then the build-baked default (apps/vm1_worker). The run's own fleet
+  /// is always fork/exec'd over socketpairs.
   std::string dist_worker_path;
-  /// Transport underneath the processes backend. kTcp listens on
-  /// dist_tcp_host:dist_tcp_port (0 = ephemeral) and either self-spawns
-  /// loopback workers (`vm1_worker --connect`) or, with an empty worker
-  /// path resolution, waits for remote peers; the auth secret comes from
-  /// `dist_secret`, falling back to $VM1_DIST_SECRET.
-  DistTransport dist_transport = DistTransport::kSocketpair;
-  std::string dist_tcp_host = "127.0.0.1";
-  int dist_tcp_port = 0;
-  std::string dist_secret;
-  /// Borrowed coordinator (src/svc fleet sharing): when non-null and the
-  /// backend is kProcesses, the run uses this caller-owned coordinator
-  /// instead of building its own, leasing it per batch under `fleet_token`
-  /// (a fresh token is generated when 0) and gating each batch through
-  /// `throttle` if one is given. The transport/worker knobs above are
-  /// ignored — the fleet is whatever the owner built. Results remain
-  /// bit-identical to an exclusive run.
+  /// Borrowed coordinator: when non-null and the backend is kProcesses,
+  /// the run uses this caller-owned coordinator instead of building its
+  /// own, leasing it per batch under `fleet_token` (a fresh token is
+  /// generated when 0) and gating each batch through `throttle` if one is
+  /// given. This is how a run reaches anything but a self-spawned fleet:
+  /// the placement service's shared fleet (src/svc), or remote workers
+  /// attached to an accept-only dist::TcpTransport the caller built. The
+  /// worker knobs above are ignored — the fleet is whatever the owner
+  /// built. Results remain bit-identical to an exclusive run.
   dist::Coordinator* coordinator = nullptr;
   std::uint64_t fleet_token = 0;
   BatchThrottle* throttle = nullptr;

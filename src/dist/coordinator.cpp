@@ -10,7 +10,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "dist/tcp.h"
 #include "dist/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -103,9 +102,6 @@ void CoordinatorOptions::validate() const {
     bad("spawn_timeout_sec must be > 0, got " +
         std::to_string(spawn_timeout_sec));
   }
-  if (tcp_port < 0 || tcp_port > 65535) {
-    bad("tcp_port must be in [0, 65535], got " + std::to_string(tcp_port));
-  }
   if (heartbeat_interval_sec <= 0 || heartbeat_timeout_sec <= 0) {
     bad("heartbeat intervals must be > 0");
   }
@@ -157,23 +153,10 @@ struct Coordinator::Slot {
 Coordinator::Coordinator(CoordinatorOptions opts) : opts_(std::move(opts)) {
   opts_.validate();
   slots_.resize(static_cast<std::size_t>(opts_.num_workers));
-  if (opts_.transport == TransportKind::kTcp) {
-    TcpTransportOptions topts;
-    topts.host = opts_.tcp_host;
-    topts.port = opts_.tcp_port;
-    topts.secret = opts_.secret;
-    topts.io_timeout_sec = opts_.request_timeout_sec;
-    if (opts_.tcp_self_spawn) {
-      topts.worker_path = resolve_worker_path(opts_.worker_path);
-    }
-    // Bind failure throws (a config error, unlike per-worker failures).
-    transport_ = std::make_unique<TcpTransport>(std::move(topts));
-  } else {
-    std::string path = resolve_worker_path(opts_.worker_path);
-    // Empty path leaves transport_ null; the first dispatch degrades to
-    // all-local with a single warning (see ensure_worker).
-    if (!path.empty()) transport_ = make_socketpair_transport(path);
-  }
+  std::string path = resolve_worker_path(opts_.worker_path);
+  // Empty path leaves transport_ null; the first dispatch degrades to
+  // all-local with a single warning (see ensure_worker).
+  if (!path.empty()) transport_ = make_socketpair_transport(path);
 }
 
 Coordinator::Coordinator(CoordinatorOptions opts,

@@ -2,8 +2,9 @@
 /// Coordinator side of the distributed window-solve service.
 ///
 /// Owns a fleet of N workers reached through a pluggable transport
-/// (dist/transport.h): fork/exec'd socketpair children, or TCP peers that
-/// attach to the coordinator's listener (dist/tcp.h). Keeps a full design
+/// (dist/transport.h). A coordinator that spawns its own fleet always
+/// fork/execs socketpair children; remote workers attach instead through
+/// a caller-built accept-only TcpTransport (dist/tcp.h). Keeps a full design
 /// replica bound on every worker (kBindDesign on first use / staleness,
 /// kSync placement deltas after every batch), and dispatches prepared
 /// WindowSolveJobs with one request in flight per worker — the bounded
@@ -46,10 +47,6 @@
 
 namespace vm1::dist {
 
-/// Which transport the coordinator builds for itself (the test-only
-/// constructor overload accepts a ready-made Transport instead).
-enum class TransportKind { kSocketpair, kTcp };
-
 /// Worker slot health, walked by the failure-score supervisor. A failure
 /// (death, timeout, corrupt stream, missed heartbeat, connect error) adds
 /// one point; every success halves the score. One point makes a slot
@@ -71,16 +68,6 @@ struct CoordinatorOptions {
   /// Deadline for establishing one worker connection (spawn + kHello, or
   /// TCP accept + auth handshake).
   double spawn_timeout_sec = 10.0;
-
-  TransportKind transport = TransportKind::kSocketpair;
-  std::string tcp_host = "127.0.0.1";  ///< TCP listen address
-  int tcp_port = 0;                    ///< 0 = ephemeral
-  /// TCP auth secret; empty resolves $VM1_DIST_SECRET.
-  std::string secret;
-  /// TCP only: spawn loopback workers (`vm1_worker --connect`) ourselves.
-  /// false = remote attach only; establish just waits for peers launched
-  /// out-of-band.
-  bool tcp_self_spawn = true;
 
   /// Idle workers silent this long get a kPing.
   double heartbeat_interval_sec = 2.0;
@@ -160,9 +147,12 @@ struct RemoteJob {
 
 class Coordinator {
  public:
+  /// Spawns its own fleet: fork/exec of `worker_path` over socketpairs.
   explicit Coordinator(CoordinatorOptions opts = {});
-  /// Test/service seam: run the supervision logic over a caller-provided
-  /// transport (e.g. a TcpTransport whose port the test already knows).
+  /// Runs the supervision logic over a caller-provided transport, in
+  /// practice an accept-only TcpTransport that remote `vm1_worker
+  /// --connect` peers attach to (the heartbeat tests attach in-process
+  /// peers the same way). `worker_path` is unused.
   Coordinator(CoordinatorOptions opts, std::unique_ptr<Transport> transport);
   ~Coordinator();
   Coordinator(const Coordinator&) = delete;

@@ -18,9 +18,9 @@
 
 #include "obs/metrics.h"
 #include "util/fault_injection.h"
+#include "util/hash.h"
 #include "util/hmac.h"
 #include "util/logging.h"
-#include "util/subprocess.h"
 
 namespace vm1::dist {
 
@@ -120,10 +120,11 @@ std::optional<Frame> read_frame_deadline(int fd, std::vector<std::uint8_t>& buf,
   }
 }
 
+/// An accepted peer: the transport owns only the socket, never a process.
 class TcpConnection final : public Connection {
  public:
-  TcpConnection(int fd, pid_t owned_pid, double io_timeout_sec)
-      : fd_(fd), pid_(owned_pid), io_timeout_sec_(io_timeout_sec) {}
+  TcpConnection(int fd, double io_timeout_sec)
+      : fd_(fd), io_timeout_sec_(io_timeout_sec) {}
   ~TcpConnection() override { hard_close(); }
 
   int fd() const override { return fd_; }
@@ -141,35 +142,24 @@ class TcpConnection final : public Connection {
       close(fd_);
       fd_ = -1;
     }
-    if (pid_ > 0) {
-      subprocess::kill_and_reap(pid_);
-      pid_ = -1;
-    }
   }
 
-  pid_t pid() const override { return pid_; }
   const char* kind() const override { return "tcp"; }
 
  private:
   int fd_;
-  pid_t pid_;
   double io_timeout_sec_;
 };
 
-std::uint64_t splitmix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-std::string resolve_dist_secret(const std::string& configured) {
+/// The effective shared secret: the explicit value when non-empty,
+/// otherwise $VM1_DIST_SECRET, otherwise "".
+std::string resolve_secret(const std::string& configured) {
   if (!configured.empty()) return configured;
   if (const char* env = std::getenv("VM1_DIST_SECRET")) return env;
   return "";
 }
+
+}  // namespace
 
 void TcpTransportOptions::validate() const {
   auto bad = [](const std::string& what) {
@@ -186,7 +176,7 @@ void TcpTransportOptions::validate() const {
 
 TcpTransport::TcpTransport(TcpTransportOptions opts) : opts_(std::move(opts)) {
   opts_.validate();
-  opts_.secret = resolve_dist_secret(opts_.secret);
+  opts_.secret = resolve_secret(opts_.secret);
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
@@ -224,9 +214,7 @@ TcpTransport::TcpTransport(TcpTransportOptions opts) : opts_(std::move(opts)) {
                      std::chrono::steady_clock::now().time_since_epoch()
                          .count());
 
-  log_info("dist/tcp: listening on ", opts_.host, ":", listen_port_,
-           opts_.worker_path.empty() ? " (remote attach)"
-                                     : " (self-spawned workers)");
+  log_info("dist/tcp: listening on ", opts_.host, ":", listen_port_);
 }
 
 TcpTransport::~TcpTransport() {
@@ -235,21 +223,13 @@ TcpTransport::~TcpTransport() {
 
 std::optional<Established> TcpTransport::establish(double timeout_sec) {
   Timer clock;
-  pid_t spawned = -1;
-  if (!opts_.worker_path.empty()) {
-    spawned = subprocess::spawn_process(
-        opts_.worker_path,
-        {"--connect=" + opts_.host + ":" + std::to_string(listen_port_)});
-    if (spawned < 0) return std::nullopt;
-  }
-
-  auto fail = [&](int fd) -> std::optional<Established> {
+  auto fail = [](int fd) -> std::optional<Established> {
     if (fd >= 0) close(fd);
-    if (spawned > 0) subprocess::kill_and_reap(spawned);
     return std::nullopt;
   };
 
-  // Accept (the spawned worker's connect races us; poll until deadline).
+  // Accept: poll the nonblocking listener until a peer arrives or the
+  // deadline passes.
   int fd = -1;
   for (;;) {
     sockaddr_in peer{};
@@ -277,7 +257,7 @@ std::optional<Established> TcpTransport::establish(double timeout_sec) {
   WireChallenge ch;
   ch.nonce.resize(32);
   for (std::size_t i = 0; i < ch.nonce.size(); i += 8) {
-    nonce_state_ = splitmix(nonce_state_);
+    nonce_state_ = hash::splitmix_finalize(nonce_state_);
     for (std::size_t b = 0; b < 8 && i + b < ch.nonce.size(); ++b) {
       ch.nonce[i + b] = static_cast<std::uint8_t>(nonce_state_ >> (8 * b));
     }
@@ -320,14 +300,13 @@ std::optional<Established> TcpTransport::establish(double timeout_sec) {
   }
 
   est.hello = hello;
-  est.conn =
-      std::make_unique<TcpConnection>(fd, spawned, opts_.io_timeout_sec);
+  est.conn = std::make_unique<TcpConnection>(fd, opts_.io_timeout_sec);
   return est;
 }
 
 int tcp_attach(const std::string& host, int port,
                const TcpConnectOptions& opts) {
-  std::string secret = resolve_dist_secret(opts.secret);
+  std::string secret = resolve_secret(opts.secret);
   std::uint64_t jitter =
       opts.jitter_seed ? opts.jitter_seed
                        : static_cast<std::uint64_t>(getpid());
@@ -347,7 +326,8 @@ int tcp_attach(const std::string& host, int port,
       // [0.5, 1.0]x so a rebooting fleet does not reconnect in lockstep.
       double backoff = opts.backoff_base_sec * static_cast<double>(1 << std::min(attempt - 1, 20));
       backoff = std::min(backoff, opts.backoff_max_sec);
-      std::uint64_t h = splitmix(jitter ^ static_cast<std::uint64_t>(attempt));
+      std::uint64_t h = hash::splitmix_finalize(
+          jitter ^ static_cast<std::uint64_t>(attempt));
       double u = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
       double sleep_sec = backoff * (0.5 + 0.5 * u);
       usleep(static_cast<useconds_t>(sleep_sec * 1e6));

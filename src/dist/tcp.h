@@ -2,11 +2,12 @@
 /// TCP transport for the distributed window-solve service (see
 /// dist/transport.h for the abstraction it implements).
 ///
-/// Topology: the coordinator owns a TCP listener; workers attach to it —
-/// either spawned locally by the transport itself (`vm1_worker --connect
-/// 127.0.0.1:port`, the loopback fleet used by tests and the quickstart)
-/// or launched out-of-band on other hosts (`worker_path` empty: the
-/// transport only accepts).
+/// Topology: the transport owns a TCP listener and only accepts; it never
+/// spawns anything. Peers launched out-of-band attach to it: remote
+/// workers (`vm1_worker --connect host:port`, handed to a Coordinator
+/// through its transport constructor) and placement-service clients
+/// (`vm1_serve`'s listener). A coordinator that spawns its own local
+/// fleet uses the socketpair transport instead (dist/transport.h).
 ///
 /// Handshake, per connection:
 ///   1. worker connects — nonblocking connect with bounded exponential
@@ -35,9 +36,6 @@ namespace vm1::dist {
 struct TcpTransportOptions {
   std::string host = "127.0.0.1";  ///< listen address
   int port = 0;                    ///< 0 = ephemeral (see listen_port())
-  /// Worker binary for self-spawned loopback workers; empty means remote
-  /// attach only (establish just accepts).
-  std::string worker_path;
   /// Shared auth secret; empty resolves $VM1_DIST_SECRET (which may also
   /// be empty — the handshake still runs, with an empty key).
   std::string secret;
@@ -92,9 +90,5 @@ struct TcpConnectOptions {
 
 int tcp_attach(const std::string& host, int port,
                const TcpConnectOptions& opts);
-
-/// Resolves the effective shared secret: the explicit value when
-/// non-empty, otherwise $VM1_DIST_SECRET, otherwise "".
-std::string resolve_dist_secret(const std::string& configured);
 
 }  // namespace vm1::dist

@@ -6,16 +6,18 @@
 /// byte streams — obtained from one `Transport`. Two implementations exist:
 ///
 ///   * the socketpair transport (this file): fork/exec of apps/vm1_worker
-///     with an inherited Unix-domain socketpair — the original single-host
-///     path, PR 5;
-///   * TcpTransport (dist/tcp.h): a TCP listener the coordinator owns,
-///     with workers attaching via `vm1_worker --connect host:port` after a
-///     nonce/HMAC auth handshake — remote or self-spawned-over-loopback.
+///     with an inherited Unix-domain socketpair. It is the only way a
+///     coordinator spawns its own workers;
+///   * TcpTransport (dist/tcp.h): an accept-only TCP listener. Workers
+///     launched out-of-band attach via `vm1_worker --connect host:port`
+///     after a nonce/HMAC auth handshake; the caller hands the transport
+///     to the coordinator. It spawns nothing.
 ///
 /// The split keeps the supervision logic (heartbeats, health states, retry
 /// budgets, degradation — all in the coordinator) transport-agnostic: a
 /// dead TCP peer and a crashed forked worker funnel through the same
-/// failure matrix.
+/// failure matrix. The interfaces are also the test seam: the heartbeat
+/// drills hand the coordinator a TcpTransport with in-process peers.
 #pragma once
 
 #include <sys/types.h>

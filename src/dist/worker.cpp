@@ -70,7 +70,9 @@ RequestOutcome process_request(const Design* design, const WireRequest& rq) {
       obs::histogram("dist_opt.window_solve_sec");
 
   requests_metric.add();
-  fault::set_config(rq.faults);
+  // Write only a changed config: in-process peers (the TCP attach tests)
+  // share it with their coordinator, which reads it while they solve.
+  if (fault::config() != rq.faults) fault::set_config(rq.faults);
 
   RequestOutcome out;
   auto fail = [&](ErrorCode code, const std::string& message) {

@@ -40,7 +40,6 @@ Service::Service(ServiceOptions opts, JobManager* manager)
   dist::TcpTransportOptions to;
   to.host = opts_.host;
   to.port = opts_.port;
-  to.worker_path = "";  // accept-only: clients attach, we spawn nothing
   to.secret = opts_.secret;
   to.io_timeout_sec = opts_.io_timeout_sec;
   transport_ = std::make_unique<dist::TcpTransport>(to);

@@ -73,6 +73,8 @@ struct Config {
     }
     return false;
   }
+
+  bool operator==(const Config&) const = default;
 };
 
 /// Exception type used by throwing fault sites, so handlers can tell an

@@ -4,7 +4,9 @@
 /// (src/dist/wire.cpp), the 128-bit window-signature streams
 /// (src/core/incremental), and fault-injection window keys
 /// (src/util/fault_injection) — and the solve cache (src/cache) keys its
-/// on-disk records with the same functions. They live here once, with the
+/// on-disk records with the same functions. The TCP transport (src/dist/tcp)
+/// draws its handshake nonces and attach-backoff jitter from
+/// splitmix_finalize too. They live here once, with the
 /// exact historical constants, because the bit patterns are load-bearing:
 /// window signatures key the persistent cache and the golden scenario
 /// corpus, wire checksums are protocol, and fault keys determine which

@@ -76,35 +76,6 @@ Child spawn_worker(const std::string& path,
   return child;
 }
 
-pid_t spawn_process(const std::string& path,
-                    const std::vector<std::string>& args) {
-  if (!is_executable(path)) {
-    log_warn("subprocess: binary not executable: ", path);
-    return -1;
-  }
-  std::string argv0 = path;
-  std::size_t slash = argv0.find_last_of('/');
-  if (slash != std::string::npos) argv0 = argv0.substr(slash + 1);
-
-  pid_t pid = fork();
-  if (pid < 0) {
-    log_warn("subprocess: fork failed: ", std::strerror(errno));
-    return -1;
-  }
-  if (pid == 0) {
-    // Child: only async-signal-safe calls until exec.
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(argv0.c_str()));
-    for (const std::string& a : args) {
-      argv.push_back(const_cast<char*>(a.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(path.c_str(), argv.data());
-    _exit(127);
-  }
-  return pid;
-}
-
 std::size_t write_upto(int fd, const void* data, std::size_t len) {
   const char* p = static_cast<const char*>(data);
   std::size_t written = 0;

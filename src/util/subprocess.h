@@ -1,9 +1,10 @@
 /// \file subprocess.h
 /// Minimal fork/exec + Unix-domain-socket helpers for the distributed
 /// window-solve backend (src/dist). Everything here is POSIX-only and
-/// deliberately tiny: one blocking socketpair per worker, EINTR-safe
-/// whole-buffer reads/writes, and reap-with-deadline so a wedged worker
-/// can never wedge the coordinator's destructor.
+/// deliberately tiny: one spawn entry point (spawn_worker, one blocking
+/// socketpair per worker — the only way a coordinator launches its own
+/// workers), EINTR-safe whole-buffer reads/writes, and reap-with-deadline
+/// so a wedged worker can never wedge the coordinator's destructor.
 #pragma once
 
 #include <sys/types.h>
@@ -31,12 +32,6 @@ struct Child {
 /// the parent, so worker A never inherits worker B's socket.
 Child spawn_worker(const std::string& path,
                    const std::vector<std::string>& args);
-
-/// Forks and execs `path` with `args` and no socketpair — used by the TCP
-/// transport, whose workers connect back over the network instead of
-/// inheriting a socket. Returns -1 (and logs) on failure; never throws.
-pid_t spawn_process(const std::string& path,
-                    const std::vector<std::string>& args);
 
 /// Writes the whole buffer, retrying on EINTR/partial writes. Uses
 /// send(MSG_NOSIGNAL) so a dead peer yields EPIPE instead of SIGPIPE.

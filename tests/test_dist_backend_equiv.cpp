@@ -5,6 +5,9 @@
 /// must match bit-for-bit. This is the acceptance check for the whole
 /// coordinator/worker stack: full-replica binding, per-batch placement
 /// sync, signature-checked requests, and the shared serial apply phase.
+/// The fleet kill storm at the end proves the supervision side: a worker
+/// that dies on every request is quarantined and the pass finishes locally
+/// with the identical answer.
 ///
 /// Options pin every solver limit that binds to a deterministic quantity
 /// (node counts), never wall-clock, so both backends walk the identical
@@ -20,6 +23,7 @@
 #include "design/legality.h"
 #include "place/global_placer.h"
 #include "place/legalizer.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace vm1 {
@@ -135,6 +139,37 @@ TEST(DistBackendEquiv, WorkerCountDoesNotChangeResults) {
     RunResult four = run(seed, DistBackend::kProcesses, /*workers=*/4);
     expect_identical(one, four, seed);
   }
+}
+
+TEST(DistFleet, KillStormQuarantinesAndDegradesToLocalBitIdentically) {
+  // Every request kills its worker: the fleet must walk
+  // healthy -> suspect -> quarantined, stop re-dispatching into the
+  // grinder, and finish the pass locally with the identical answer.
+  fault::Config fc = fault::parse_spec("worker_kill=1.0,seed=3");
+  fault::set_config(fc);
+
+  Design dp = random_design(301);
+  Design dt = random_design(301);
+  VM1OptOptions o = equiv_opts(301);
+  o.max_inner_iters = 1;
+  o.mip.time_limit_sec = 0.5;
+  VM1OptOptions op = o;
+  op.backend = DistBackend::kProcesses;
+  op.dist_workers = 2;
+
+  VM1OptStats sp = vm1opt(dp, op);
+  fault::set_config(fc);
+  VM1OptStats st = vm1opt(dt, o);
+  fault::set_config(fault::Config{});
+
+  EXPECT_EQ(sp.remote_replies, 0) << "a killed worker somehow replied";
+  EXPECT_GT(sp.remote_local_fallbacks, 0);
+  EXPECT_GT(sp.worker_restarts, 0);
+  ASSERT_EQ(dp.placements().size(), dt.placements().size());
+  for (std::size_t i = 0; i < dp.placements().size(); ++i) {
+    EXPECT_EQ(dp.placements()[i], dt.placements()[i]) << "instance " << i;
+  }
+  EXPECT_EQ(sp.final.value, st.final.value);
 }
 
 }  // namespace

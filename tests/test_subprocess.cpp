@@ -42,8 +42,6 @@ TEST(Subprocess, NonExecutableFileYieldsInvalidChild) {
   EXPECT_FALSE(is_executable(path));
   Child c = spawn_worker(path, {});
   EXPECT_FALSE(c.valid());
-  pid_t p = spawn_process(path, {});
-  EXPECT_EQ(p, -1);
   unlink(path);
 }
 
@@ -73,8 +71,17 @@ TEST(Subprocess, ExecFailureSurfacesAsImmediateEofNotHang) {
   unlink(path);
 }
 
+/// A long-lived child for the kill/reap tests. spawn_worker appends
+/// `--fd=N`, which `sh -c SCRIPT` takes as $0; `exec` makes the sleep the
+/// spawned pid itself, so no grandchild outlives the kill.
+Child spawn_sleeper() {
+  Child c = spawn_worker("/bin/sh", {"-c", "exec sleep 30"});
+  if (c.fd >= 0) close(c.fd);  // only the pid matters here
+  return c;
+}
+
 TEST(Subprocess, KillAndReapTerminatesASleepingChild) {
-  pid_t pid = spawn_process("/bin/sleep", {"30"});
+  pid_t pid = spawn_sleeper().pid;
   ASSERT_GT(pid, 0);
   EXPECT_FALSE(try_reap(pid)) << "sleep(30) exited implausibly fast";
   kill_and_reap(pid, /*timeout_sec=*/5.0);
@@ -90,7 +97,7 @@ TEST(Subprocess, RepeatedRespawnsLeaveNoZombies) {
   // the coordinator would leak one zombie per worker death.
   std::vector<pid_t> pids;
   for (int i = 0; i < 8; ++i) {
-    pid_t pid = spawn_process("/bin/sleep", {"30"});
+    pid_t pid = spawn_sleeper().pid;
     ASSERT_GT(pid, 0);
     pids.push_back(pid);
     kill_and_reap(pid);
@@ -105,7 +112,7 @@ TEST(Subprocess, RepeatedRespawnsLeaveNoZombies) {
 TEST(Subprocess, KillAndReapIsIdempotentAndIgnoresBogusPids) {
   kill_and_reap(-1);
   kill_and_reap(0);
-  pid_t pid = spawn_process("/bin/sleep", {"30"});
+  pid_t pid = spawn_sleeper().pid;
   ASSERT_GT(pid, 0);
   kill_and_reap(pid);
   kill_and_reap(pid);  // second call: already reaped, must not block
