@@ -138,9 +138,12 @@ WindowSig window_signature(const Design& d, const Window& win,
   h.add_int(static_cast<long long>(p.delta));
   h.add_int(p.max_pairs_per_net);
 
-  // Solver configuration: everything BranchAndBound/SimplexSolver read.
+  // Solver configuration: every MIP/LP option a production caller sets.
   // These are static limits, not wall-clock samples — two runs with equal
   // limits sign equally; see DESIGN.md for the truncated-solve caveat.
+  // lp_options.{pricing, refactor_interval, dense_inverse_dim} are not
+  // hashed: they are test-only seams that no production caller sets, and
+  // put_mip does not ship them either.
   const milp::BranchAndBound::Options& mo = opts.mip;
   h.add_int(mo.max_nodes);
   h.add_double(mo.time_limit_sec);

@@ -205,6 +205,10 @@ Placement get_placement(WireReader& r) {
 void put_mip(WireWriter& w, const milp::BranchAndBound::Options& mo) {
   // `cancel` is a process-local pointer and deliberately not shipped; the
   // worker solves uncancellably and the coordinator enforces deadlines.
+  // lp_options.{pricing, refactor_interval, dense_inverse_dim} are not
+  // shipped either: they are test-only seams that no production caller
+  // sets, so a worker always runs their defaults (and the window signature
+  // does not hash them).
   w.i32(mo.max_nodes);
   w.f64(mo.time_limit_sec);
   w.f64(mo.int_tol);

@@ -297,10 +297,8 @@ MipResult BranchAndBound::solve(const Model& model,
   cold_metric.add(result.cold_restarts);
   rc_fixed_metric.add(result.rc_fixed);
   if (!result.x.empty()) incumbents_metric.add();
-  // lp_iterations already lands in the milp.lp_iterations counter; the span
-  // slot goes to the LP engine tag instead (3-arg cap).
   solve_span.arg("nodes", result.nodes_explored)
-      .arg("engine", lp::to_string(opts_.lp_options.engine))
+      .arg("lp_iters", result.lp_iterations)
       .arg("status", to_string(result.status));
   return result;
 }

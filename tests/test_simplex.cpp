@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "lp/factor.h"
+#include "lp_oracle/dense_tableau.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -16,6 +17,11 @@ namespace {
 Result solve(const Problem& p) {
   SimplexSolver s;
   return s.solve(p);
+}
+
+/// Cold solve through the independent dense-tableau oracle.
+Result oracle_solve(const Problem& p) {
+  return oracle::DenseTableau(p, {}).run_cold(p);
 }
 
 TEST(Simplex, EmptyProblem) {
@@ -215,7 +221,7 @@ TEST_P(SimplexRandom, FeasibleInstancesSolveToFeasibleOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(RandomLp, SimplexRandom, ::testing::Range(0, 40));
 
-// ---- basis reuse / warm start ----
+// ---- warm start ----
 
 /// Random feasible LP with a known interior point (same scheme as
 /// SimplexRandom above).
@@ -250,40 +256,43 @@ Problem random_feasible_lp(Rng& rng) {
   return p;
 }
 
-TEST(SimplexWarm, BasisExportedOnOptimal) {
+// Branch-and-bound reads the structural reduced costs of every optimal
+// node LP for reduced-cost fixing.
+TEST(SimplexWarm, ReducedCostsExportedOnOptimal) {
   Problem p;
   int x = p.add_variable(0, kInf, -3, "x");
   int y = p.add_variable(0, kInf, -5, "y");
+  int z = p.add_variable(0, kInf, 2, "z");  // rests at its lower bound
   p.add_constraint({{x, 1}}, Sense::kLe, 4);
   p.add_constraint({{y, 2}}, Sense::kLe, 12);
-  p.add_constraint({{x, 3}, {y, 2}}, Sense::kLe, 18);
+  p.add_constraint({{x, 3}, {y, 2}, {z, 1}}, Sense::kLe, 18);
   Result r = SimplexSolver().solve(p);
   ASSERT_EQ(r.status, Status::kOptimal);
-  ASSERT_FALSE(r.basis.empty());
-  EXPECT_EQ(r.basis.basic.size(), 3u);   // one basic column per row
-  EXPECT_EQ(r.basis.state.size(), 5u);   // structural + slacks
-  EXPECT_EQ(r.reduced_cost.size(), 2u);  // structural prefix only
-  // Reduced costs of an optimal basis: at-lower vars have rc >= 0.
-  for (int v = 0; v < 2; ++v) {
-    if (r.basis.state[v] == BasisState::kAtLower) {
-      EXPECT_GE(r.reduced_cost[v], -1e-7);
+  ASSERT_EQ(r.reduced_cost.size(), 3u);  // structural prefix only
+  ASSERT_NEAR(r.x[z], 0.0, 1e-9);
+  // Reduced costs at an optimum: variables at their lower bound have
+  // rc >= 0.
+  for (int v = 0; v < p.num_variables(); ++v) {
+    if (std::abs(r.x[v] - p.lower_bound(v)) <= 1e-9) {
+      EXPECT_GE(r.reduced_cost[v], -1e-7) << "variable " << v;
     }
   }
 }
 
 class SimplexWarmBasis : public ::testing::TestWithParam<int> {};
 
-// Property: re-solving from a parent basis after bound tightening gives the
-// same status and objective as a fresh cold solve.
+// Property: re-solving the hot basis after several bounds change at once
+// (what branch-and-bound does when it switches to a node on another fix
+// path) gives the same status and objective as a fresh cold solve.
 TEST_P(SimplexWarmBasis, ReoptimizeMatchesFreshAfterBoundChange) {
   Rng rng(4000 + GetParam());
   Problem p = random_feasible_lp(rng);
-  Result root = SimplexSolver().solve(p);
+  IncrementalSimplex inc(p, {});
+  Result root = inc.solve();
   ASSERT_EQ(root.status, Status::kOptimal);
-  ASSERT_FALSE(root.basis.empty());
 
   // Tighten bounds of a few variables around / away from the LP optimum,
-  // the same kind of change branching makes.
+  // the same kind of change branching makes, then re-solve once.
   Problem q = p;
   int changes = 1 + static_cast<int>(rng.uniform(3));
   for (int k = 0; k < changes; ++k) {
@@ -296,12 +305,19 @@ TEST_P(SimplexWarmBasis, ReoptimizeMatchesFreshAfterBoundChange) {
     } else if (xv + 0.5 <= hi) {
       lo = std::max(lo, xv + 0.5);
     }
-    if (lo <= hi) q.set_bounds(v, lo, hi);
+    if (lo <= hi) {
+      q.set_bounds(v, lo, hi);
+      inc.set_bounds(v, lo, hi);
+    }
   }
 
   Result fresh = SimplexSolver().solve(q);
-  Result warm = SimplexSolver().solve(q, &root.basis);
+  Result warm = inc.solve();
   ASSERT_EQ(warm.status, fresh.status) << "instance " << GetParam();
+  // Tightening finite bounds never forces a cold restart: the dual simplex
+  // serves the re-solve from the hot basis.
+  EXPECT_TRUE(warm.warm_start_used) << "instance " << GetParam();
+  EXPECT_EQ(inc.cold_solves(), 1) << "instance " << GetParam();
   if (fresh.status == Status::kOptimal) {
     EXPECT_NEAR(warm.objective, fresh.objective, 1e-6)
         << "instance " << GetParam();
@@ -471,18 +487,15 @@ Problem random_fuzz_lp(Rng& rng) {
 class SimplexDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimplexDifferential, RevisedMatchesDenseOracle) {
-  SimplexSolver::Options dense_o;
-  dense_o.engine = Engine::kDense;
-  SimplexSolver::Options eta_o;  // revised, eta-file representation forced
+  SimplexSolver::Options eta_o;  // eta-file representation forced
   eta_o.dense_inverse_dim = 0;
-  SimplexSolver dense(dense_o);
-  SimplexSolver revised;  // default: revised, explicit inverse
+  SimplexSolver revised;  // default: explicit inverse
   SimplexSolver eta(eta_o);
   for (int i = 0; i < kFuzzPerShard; ++i) {
     Rng rng(900000 + static_cast<std::uint64_t>(GetParam()) * kFuzzPerShard +
             static_cast<std::uint64_t>(i));
     Problem p = random_fuzz_lp(rng);
-    Result rd = dense.solve(p);
+    Result rd = oracle_solve(p);
     Result rr = revised.solve(p);
     Result re = eta.solve(p);
     ASSERT_EQ(rr.status, rd.status)
@@ -503,72 +516,73 @@ TEST_P(SimplexDifferential, RevisedMatchesDenseOracle) {
 INSTANTIATE_TEST_SUITE_P(Fuzz, SimplexDifferential,
                          ::testing::Range(0, kFuzzShards));
 
-// Warm re-solves after branching-style bound changes must agree across
-// engines and with a fresh dense solve.
-TEST(SimplexDifferentialWarm, WarmReoptimizeMatchesAcrossEngines) {
-  SimplexSolver::Options dense_o;
-  dense_o.engine = Engine::kDense;
+// The production warm path against the independent oracle: two persistent
+// IncrementalSimplex instances (explicit inverse and eta file) walk the same
+// branching-style cuts — x_v <= x*_v - 0.5 or x_v >= x*_v + 0.5 around the
+// current optimum x*, plus restores — and after every step must match a
+// fresh cold dense-oracle solve on status and objective.
+TEST(SimplexDifferentialWarm, IncrementalWalkMatchesDenseOracle) {
   SimplexSolver::Options eta_o;
   eta_o.dense_inverse_dim = 0;
+  constexpr int kSteps = 8;
+  int warm_solves = 0;
+  int infeasible_steps = 0;
   for (int i = 0; i < kFuzzAuxInstances; ++i) {
     Rng rng(770000 + i);
     Problem p = random_feasible_lp(rng);
-    Result root = SimplexSolver().solve(p);
-    if (root.status != Status::kOptimal || root.basis.empty()) continue;
+    IncrementalSimplex inv(p, {});
+    IncrementalSimplex eta(p, eta_o);
+    Problem q = p;  // mirror of both walkers' bounds
+    Result ri = inv.solve();
+    Result re = eta.solve();
+    Result rd = oracle_solve(q);
+    ASSERT_EQ(ri.status, rd.status) << "instance " << i;
+    ASSERT_EQ(re.status, rd.status) << "instance " << i;
+    if (rd.status != Status::kOptimal) continue;
+    std::vector<double> x = rd.x;  // optimum the next cut is placed around
 
-    Problem q = p;
-    int changes = 1 + static_cast<int>(rng.uniform(3));
-    for (int k = 0; k < changes; ++k) {
-      int v = static_cast<int>(rng.uniform(p.num_variables()));
-      double lo = q.lower_bound(v);
-      double hi = q.upper_bound(v);
-      double xv = root.x[v];
-      if (rng.chance(0.5) && xv - 0.5 >= lo) {
-        hi = std::min(hi, xv - 0.5);
-      } else if (xv + 0.5 <= hi) {
-        lo = std::max(lo, xv + 0.5);
+    for (int step = 0; step < kSteps; ++step) {
+      const int v = static_cast<int>(rng.uniform(p.num_variables()));
+      double lo = p.lower_bound(v);  // restore unless a cut applies
+      double hi = p.upper_bound(v);
+      if (!x.empty() && rng.chance(0.75)) {
+        const double clo = q.lower_bound(v);
+        const double chi = q.upper_bound(v);
+        if (rng.chance(0.5) && x[v] - 0.5 >= clo) {
+          lo = clo;
+          hi = std::min(chi, x[v] - 0.5);
+        } else if (x[v] + 0.5 <= chi) {
+          lo = std::max(clo, x[v] + 0.5);
+          hi = chi;
+        }
       }
-      if (lo <= hi) q.set_bounds(v, lo, hi);
-    }
+      inv.set_bounds(v, lo, hi);
+      eta.set_bounds(v, lo, hi);
+      q.set_bounds(v, lo, hi);
 
-    Result fresh = SimplexSolver(dense_o).solve(q);
-    Result wd = SimplexSolver(dense_o).solve(q, &root.basis);
-    Result wr = SimplexSolver().solve(q, &root.basis);
-    Result we = SimplexSolver(eta_o).solve(q, &root.basis);
-    ASSERT_EQ(wd.status, fresh.status) << "instance " << i;
-    ASSERT_EQ(wr.status, fresh.status) << "instance " << i;
-    ASSERT_EQ(we.status, fresh.status) << "instance " << i;
-    if (fresh.status == Status::kOptimal) {
-      EXPECT_NEAR(wr.objective, fresh.objective, 1e-6) << "instance " << i;
-      EXPECT_NEAR(we.objective, fresh.objective, 1e-6) << "instance " << i;
-      EXPECT_LT(q.max_violation(wr.x), 1e-5);
+      ri = inv.solve();
+      re = eta.solve();
+      rd = oracle_solve(q);
+      ASSERT_EQ(ri.status, rd.status) << "instance " << i << " step " << step;
+      ASSERT_EQ(re.status, rd.status) << "instance " << i << " step " << step;
+      if (rd.status == Status::kOptimal) {
+        EXPECT_NEAR(ri.objective, rd.objective, 1e-6)
+            << "instance " << i << " step " << step;
+        EXPECT_NEAR(re.objective, rd.objective, 1e-6)
+            << "instance " << i << " step " << step;
+        EXPECT_LT(q.max_violation(ri.x), 1e-5);
+        EXPECT_LT(q.max_violation(re.x), 1e-5);
+        x = rd.x;
+      } else {
+        ++infeasible_steps;
+        x.clear();  // infeasible node: the next step restores a bound
+      }
     }
+    warm_solves += inv.warm_solves() + eta.warm_solves();
   }
-}
-
-// A structurally singular warm basis (one column occupying two basis slots)
-// must be rejected by the factorization and fall back to a cold solve with
-// the correct optimum — in every engine.
-TEST(SimplexDifferentialWarm, SingularWarmBasisFallsBackInBothEngines) {
-  SimplexSolver::Options dense_o;
-  dense_o.engine = Engine::kDense;
-  SimplexSolver::Options eta_o;
-  eta_o.dense_inverse_dim = 0;
-  for (int i = 0; i < kFuzzAuxInstances; ++i) {
-    Rng rng(660000 + i);
-    Problem p = random_feasible_lp(rng);
-    Result root = SimplexSolver().solve(p);
-    if (root.status != Status::kOptimal || root.basis.empty()) continue;
-    if (root.basis.basic.size() < 2) continue;
-    Basis bad = root.basis;
-    bad.basic[1] = bad.basic[0];
-    for (SimplexSolver s : {SimplexSolver(dense_o), SimplexSolver(),
-                            SimplexSolver(eta_o)}) {
-      Result r = s.solve(p, &bad);
-      ASSERT_EQ(r.status, Status::kOptimal) << "instance " << i;
-      EXPECT_NEAR(r.objective, root.objective, 1e-6) << "instance " << i;
-    }
-  }
+  // The walk must reach both the warm path and infeasible nodes.
+  EXPECT_GT(warm_solves, kFuzzAuxInstances);
+  EXPECT_GT(infeasible_steps, 0);
 }
 
 // ---- refactor policy ----
