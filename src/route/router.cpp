@@ -221,18 +221,20 @@ RouteMetrics Router::route() {
   for (int n : order) route_net(n);
 
   for (int iter = 1; iter < opts_.max_iterations; ++iter) {
-    if (state_.total_overflow() == 0) break;
+    const long overflow = state_.total_overflow();
+    if (overflow == 0) break;
     ripup_rounds_metric.add();
+    // Three args fill the span; the round is its position in route.route.
     obs::ObsSpan ripup_span("route.ripup_iteration");
-    ripup_span.arg("iter", iter);
+    ripup_span.arg("overflow", overflow);
+    const long expansions_before = state_.expansions();
     state_.accumulate_history();
     // Rip up nets that currently use an overused edge, then reroute.
-    std::vector<std::size_t> bad = state_.overused_edges();
-    std::unordered_set<std::size_t> bad_set(bad.begin(), bad.end());
+    const int cap = opts_.cost.wire_capacity;
     std::vector<int> victims;
     for (int n : order) {
       for (std::size_t e : net_routes_[n].wire_edges) {
-        if (bad_set.count(e)) {
+        if (state_.wire_use(e) > cap) {
           victims.push_back(n);
           break;
         }
@@ -242,6 +244,7 @@ RouteMetrics Router::route() {
     ripup_span.arg("victims", victims.size());
     for (int n : victims) rip_up(n);
     for (int n : victims) route_net(n);
+    ripup_span.arg("expansions", state_.expansions() - expansions_before);
   }
 
   finalize_metrics(timer.seconds());
@@ -270,15 +273,8 @@ void Router::finalize_metrics(double elapsed) {
     // A run boundary occurs where an M1 edge lacks an M1 edge directly
     // below it (same net). Count edges whose predecessor edge is absent.
     for (std::size_t e : nr.wire_edges) {
-      GNode nd{};
-      // Decode: only M1 edges matter.
-      const std::size_t per_layer =
-          static_cast<std::size_t>(graph_.width() + 1) *
-          (graph_.height() + 1);
-      if (e >= per_layer) continue;  // not an M1 node id
-      nd.layer = kM1;
-      nd.gy = static_cast<int>((e % per_layer) / (graph_.width() + 1));
-      nd.gx = static_cast<int>((e % per_layer) % (graph_.width() + 1));
+      const GNode nd = graph_.node_at(e);
+      if (nd.layer != kM1) continue;  // only M1 edges matter
       if (nd.gy == 0 ||
           !nr.wire_edges.count(graph_.node_id(kM1, nd.gx, nd.gy - 1))) {
         ++metrics_.num_m1_segments;

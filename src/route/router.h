@@ -65,11 +65,14 @@ struct NetRoute {
 /// any placement change.
 class Router {
  public:
+  /// Throws std::invalid_argument when a cost or capacity in `opts.cost` is
+  /// negative (see MazeCostOptions).
   explicit Router(const Design& d, const RouterOptions& opts = {});
 
   /// Runs the full negotiated-congestion flow and returns the metrics.
   RouteMetrics route();
 
+  const RouterOptions& options() const { return opts_; }
   const TrackGraph& graph() const { return graph_; }
   const MazeState& state() const { return state_; }
   const std::vector<NetRoute>& net_routes() const { return net_routes_; }

@@ -63,13 +63,23 @@ class TrackGraph {
   /// the core.
   bool valid(int layer, int gx, int gy) const;
   /// True when a vertical (along-y) layer; M1/M3 are vertical.
-  static bool is_vertical(int layer) { return layer == kM1 || layer == kM3; }
+  static constexpr bool is_vertical(int layer) {
+    return layer == kM1 || layer == kM3;
+  }
 
   std::size_t node_id(int layer, int gx, int gy) const {
     return layer_off_[layer] + static_cast<std::size_t>(gy) * (gx_max_ + 1) +
            gx;
   }
   std::size_t num_nodes() const { return layer_off_[kNumRouteLayers]; }
+  /// Inverse of node_id().
+  GNode node_at(std::size_t id) const {
+    const std::size_t per_layer = layer_off_[1];
+    const std::size_t rem = id % per_layer;
+    const std::size_t row = static_cast<std::size_t>(gx_max_) + 1;
+    return GNode{static_cast<int>(id / per_layer), static_cast<int>(rem % row),
+                 static_cast<int>(rem / row)};
+  }
 
   /// Node owner: kFree, kBlocked, or the owning net id (pins).
   std::int32_t owner(int layer, int gx, int gy) const {
@@ -89,7 +99,9 @@ class TrackGraph {
   /// layers, 2 for vertical layers). Edges always advance the moving
   /// coordinate by one grid unit; the off-axis lattice restriction (M3 on
   /// even gx, M4 on even gy) is enforced by valid().
-  static Coord edge_len_dbu(int layer) { return is_vertical(layer) ? 2 : 1; }
+  static constexpr Coord edge_len_dbu(int layer) {
+    return is_vertical(layer) ? 2 : 1;
+  }
 
   /// Grid y-track range [lo, hi] covered by DBU interval [y0, y1].
   static std::pair<int, int> track_range(Coord y0, Coord y1) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "cells/library_builder.h"
 #include "place/global_placer.h"
@@ -206,6 +207,24 @@ TEST(Router, CongestionMapCoversOverflow) {
     std::string art = render_congestion(map);
     EXPECT_FALSE(art.empty());
   }
+}
+
+TEST(Router, RejectsNegativeCostsAndCapacities) {
+  // A* consistency and bucket-queue monotonicity need every edge cost to be
+  // at least its wire length, so any negative term is refused up front.
+  Design d = placed_design(CellArch::kClosedM1);
+  for (int field = 0; field < 5; ++field) {
+    RouterOptions opts;
+    MazeCostOptions& c = opts.cost;
+    int* slots[] = {&c.via_cost, &c.overuse_penalty, &c.history_weight,
+                    &c.wire_capacity, &c.via_capacity};
+    *slots[field] = -1;
+    EXPECT_THROW(Router(d, opts), std::invalid_argument) << "field " << field;
+  }
+  RouterOptions zero;
+  zero.cost = MazeCostOptions{0, 0, 0, 0, 0};
+  Router router(d, zero);
+  EXPECT_EQ(router.route().unrouted, 0);
 }
 
 TEST(Router, SummaryMentionsKeyMetrics) {
