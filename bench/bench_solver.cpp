@@ -198,10 +198,18 @@ void guardrail_study(benchutil::JsonWriter& jw) {
   benchutil::write_window_outcomes(jw, {&s1, &s2, &s3});
 }
 
+/// Ceiling on the quick study's warm-mode dual pivots: the count measured
+/// with steepest-edge leaving rows and the bound-flipping ratio test
+/// (336,720; the largest-violation rule without flips took 966,193) plus
+/// 5%. Pivot counts are deterministic, so unlike warm_speedup this gate
+/// does not depend on how fast or loaded the host is.
+constexpr long kQuickWarmDualPivotCeiling = 353556;
+
 /// Warm-vs-cold branch-and-bound study; prints a table and writes
 /// BENCH_solver.json. Returns nonzero on objective mismatch (exactness is
 /// part of the contract, not just speed) and, in quick mode (the CI
-/// perf-smoke job), when warm-start re-solves fail to beat cold wall time.
+/// perf-smoke job), when warm-start re-solves fail to beat cold wall time
+/// or take more dual pivots than kQuickWarmDualPivotCeiling.
 int warm_cold_study(int instances, bool quick) {
   SuiteTotals cold = run_suite(false, instances);
   SuiteTotals warm = run_suite(true, instances);
@@ -270,6 +278,13 @@ int warm_cold_study(int instances, bool quick) {
                  "ERROR: warm_speedup %.3f < 1.0 — warm-start re-solves are "
                  "slower than cold restarts\n",
                  warm_speedup);
+    rc = 1;
+  }
+  if (quick && warm.dual_pivots > kQuickWarmDualPivotCeiling) {
+    std::fprintf(stderr,
+                 "ERROR: %ld warm dual pivots > pinned ceiling %ld — the dual "
+                 "simplex needs more pivots per node than it did\n",
+                 warm.dual_pivots, kQuickWarmDualPivotCeiling);
     rc = 1;
   }
   return rc;
@@ -358,7 +373,8 @@ BENCHMARK(BM_BranchAndBoundKnapsack)
 int main(int argc, char** argv) {
   benchutil::print_run_header("bench_solver");
   // VM1_BENCH_QUICK: CI perf-smoke mode — a smaller study that asserts
-  // warm_speedup >= 1.0 and skips the microbenchmark suite.
+  // warm_speedup >= 1.0 and the warm dual-pivot ceiling, and skips the
+  // microbenchmark suite.
   const char* quick_env = std::getenv("VM1_BENCH_QUICK");
   const bool quick = quick_env && *quick_env && *quick_env != '0';
   int rc = warm_cold_study(quick ? 12 : 40, quick);

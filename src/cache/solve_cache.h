@@ -30,8 +30,10 @@ namespace vm1::cache {
 
 /// Bump when the window-solve semantics change in a way the signature
 /// cannot see (solver algorithm rework, objective redefinition). Persisted
-/// entries from other epochs are discarded at open.
-inline constexpr std::uint64_t kSolverEpoch = 1;
+/// entries from other epochs are discarded at open. Generation 2: the dual
+/// simplex prices by steepest edge and flips bounds in its ratio test, so
+/// node-capped windows can end on different incumbents.
+inline constexpr std::uint64_t kSolverEpoch = 2;
 
 /// The epoch a store must be opened with for this build's solver: the
 /// solver generation mixed with the fault-site census (adding a site

@@ -1,5 +1,6 @@
 #include "lp/revised.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -13,6 +14,9 @@ namespace {
 constexpr double kConsistencyTol = 1e-7;
 // Residual bound for trusting a verdict against the original matrix.
 constexpr double kVerifyTol = 1e-6;
+// A steepest-edge weight update that cancels below this fraction of its
+// summands has lost too many digits and is recomputed exactly.
+constexpr double kCancelFrac = 1e-2;
 }  // namespace
 
 void SolveWorkspace::ensure(int m, int ncols) {
@@ -21,6 +25,8 @@ void SolveWorkspace::ensure(int m, int ncols) {
     rho.resize(m);
     d.resize(m);
     y.resize(m);
+    tau.resize(m);
+    flip_delta.resize(m);
     relabel.resize(m);
   }
   if (static_cast<int>(rowvals.size()) < ncols) {
@@ -144,10 +150,15 @@ bool RevisedCore::refactorize() {
   if (dense_inv_) factor_.collapse();
   // Relabel basis slots onto their factorization pivot rows so FTRAN output
   // is row-indexed directly (column k of the basis was assigned pivot row
-  // slot_row[k]).
+  // slot_row[k]). The rows of B^-1 permute with the slots, so the
+  // steepest-edge weights move with their basic variables.
   std::copy(basis_.begin(), basis_.end(), ws_.relabel.begin());
+  std::copy(dse_w_.begin(), dse_w_.end(), ws_.tau.begin());
   const std::vector<int>& sr = factor_.slot_row();
-  for (int k = 0; k < m_; ++k) basis_[sr[k]] = ws_.relabel[k];
+  for (int k = 0; k < m_; ++k) {
+    basis_[sr[k]] = ws_.relabel[k];
+    dse_w_[sr[k]] = ws_.tau[k];
+  }
   return true;
 }
 
@@ -380,6 +391,7 @@ Status RevisedCore::iterate(bool phase1) {
       fresh = true;
       continue;
     }
+    dse_valid_ = false;  // primal pivots do not maintain the dual weights
     for (int i = 0; i < m_; ++i) {
       if (i != r) beta_[i] -= dj * alpha[i] * t_max;
     }
@@ -388,10 +400,141 @@ Status RevisedCore::iterate(bool phase1) {
   return Status::kIterLimit;
 }
 
+double RevisedCore::exact_row_norm2(int i, double* scratch) const {
+  std::fill(scratch, scratch + m_, 0.0);
+  scratch[i] = 1.0;
+  factor_.btran(scratch);
+  double s = 0;
+  for (int k = 0; k < m_; ++k) s += scratch[k] * scratch[k];
+  return s;
+}
+
+std::vector<double> RevisedCore::exact_dual_edge_weights() {
+  std::vector<double> w(m_);
+  for (int i = 0; i < m_; ++i) w[i] = exact_row_norm2(i, ws_.tau.data());
+  return w;
+}
+
+int RevisedCore::choose_leaving_row(bool bland, bool* above) const {
+  int r = -1;
+  double best = 0;
+  for (int i = 0; i < m_; ++i) {
+    double infeas = -beta_[i];
+    bool hi = false;
+    if (infeas <= opts_.tol) {
+      infeas = beta_[i] - ub_[basis_[i]];  // -inf for unbounded columns
+      if (!(infeas > opts_.tol)) continue;
+      hi = true;
+    }
+    if (bland) {
+      if (r < 0 || basis_[i] < basis_[r]) {
+        r = i;
+        *above = hi;
+      }
+      continue;
+    }
+    const double score = infeas * infeas / dse_w_[i];
+    if (score > best) {
+      best = score;
+      r = i;
+      *above = hi;
+    }
+  }
+  return r;
+}
+
+int RevisedCore::dual_ratio_test(bool above, double infeas, bool bland,
+                                 double* step) {
+  using Breakpoint = SolveWorkspace::Breakpoint;
+  // Breakpoints: the dual step at which each eligible nonbasic column's
+  // reduced cost reaches zero. Columns outside the pivot row's support have
+  // a zero entry and never price.
+  std::vector<Breakpoint>& br = ws_.breaks;
+  br.clear();
+  const double* rv = ws_.rowvals.data();
+  for (int j : ws_.support) {
+    if (j >= n_art_begin_) continue;
+    if (state_[j] == VarState::kBasic) continue;
+    const double a = rv[j];
+    const double arj = above ? -a : a;
+    double t;
+    if (state_[j] == VarState::kAtLower) {
+      if (arj >= -opts_.pivot_tol) continue;
+      t = std::max(0.0, zrow_[j]) / (-arj);
+    } else {
+      if (arj <= opts_.pivot_tol) continue;
+      t = std::max(0.0, -zrow_[j]) / arj;
+    }
+    br.push_back({t, std::abs(a), j});
+  }
+  ws_.flips.clear();
+  if (br.empty()) return -1;
+
+  // Walk the breakpoints in step order. Passing one lowers the dual slope
+  // (the remaining primal infeasibility of the row) by |a_j| * u_j, and the
+  // column must then flip to its other bound to stay dual feasible; the
+  // walk stops at the first breakpoint that would turn the slope
+  // non-positive, or whose column has no finite bound to flip to.
+  auto later = [](const Breakpoint& x, const Breakpoint& y) {
+    return x.t > y.t || (x.t == y.t && x.j > y.j);
+  };
+  std::make_heap(br.begin(), br.end(), later);
+  double slope = infeas;
+  auto end = br.end();
+  Breakpoint enter{};
+  for (;;) {
+    std::pop_heap(br.begin(), end, later);
+    --end;
+    enter = *end;
+    if (end == br.begin()) break;  // last breakpoint: it enters
+    const double u = ub_[enter.j];
+    if (!std::isfinite(u) || slope - enter.abs_a * u <= 0) break;
+    slope -= enter.abs_a * u;
+    ws_.flips.push_back(enter.j);
+  }
+  // Among breakpoints tied with the stopping one, the largest |pivot| (Bland
+  // mode: the smallest index) enters; the others keep a ~zero reduced cost
+  // and stay put.
+  while (end != br.begin() && br.front().t <= enter.t + 1e-12) {
+    std::pop_heap(br.begin(), end, later);
+    --end;
+    const Breakpoint& c = *end;
+    if (bland ? c.j < enter.j : c.abs_a > enter.abs_a) enter = c;
+  }
+  *step = enter.t;
+  return enter.j;
+}
+
+void RevisedCore::update_dual_edge_weights(int r) {
+  const double* alpha = ws_.alpha.data();
+  const double* rho = ws_.rho.data();
+  const double* tau = ws_.tau.data();
+  double wr = 0;  // exact: rho is row r of the pre-pivot B^-1
+  for (int i = 0; i < m_; ++i) wr += rho[i] * rho[i];
+  const double inv_piv = 1.0 / alpha[r];
+  // New row i is rho_i - kappa_i rho_r with kappa_i = alpha_i / alpha_r, so
+  // w_i' = w_i - 2 kappa_i tau_i + kappa_i^2 w_r. Both sides of that
+  // difference are about w_i + kappa_i^2 w_r; on big-M rows it often
+  // cancels to a small fraction of them (about once per pivot on window
+  // LPs), and then the row is recomputed exactly from the updated
+  // factorization.
+  double* w = dse_w_.data();
+  for (int i = 0; i < m_; ++i) {
+    if (i == r || alpha[i] == 0.0) continue;
+    const double kappa = alpha[i] * inv_piv;
+    const double scale = w[i] + kappa * kappa * wr;
+    const double wi = w[i] + kappa * (kappa * wr - 2.0 * tau[i]);
+    w[i] = wi >= kCancelFrac * scale ? wi : exact_row_norm2(i, ws_.d.data());
+  }
+  w[r] = wr * inv_piv * inv_piv;
+}
+
 /// Bounded-variable dual simplex over the factorized basis. Requires a
 /// dual-feasible basis; repairs primal bound violations of basic variables
-/// one leaving row at a time. A pivot costs one BTRAN + one FTRAN + a
-/// sparse row gather, and an infeasibility verdict is certified by an O(nnz)
+/// one leaving row at a time, chosen by dual steepest edge, with a
+/// bound-flipping ratio test. A pivot costs one BTRAN, two FTRANs (entering
+/// column; B^-1 rho for the weights), a third when it flips bounds, and a
+/// sparse row gather. An infeasibility verdict is certified by an O(nnz)
 /// residual check instead of a refactorization.
 Status RevisedCore::dual_iterate() {
   int stall = 0;
@@ -405,59 +548,16 @@ Status RevisedCore::dual_iterate() {
     if (factor_.updates() >= refactor_interval_) {
       if (!refresh()) return Status::kIterLimit;
     }
-    // Leaving row: basic variable with the largest bound violation.
-    int r = -1;
     bool above = false;
-    double worst = opts_.tol;
-    for (int i = 0; i < m_; ++i) {
-      const double lo_viol = -beta_[i];
-      if (lo_viol > worst) {
-        worst = lo_viol;
-        r = i;
-        above = false;
-      }
-      const double up = ub_[basis_[i]];
-      if (std::isfinite(up)) {
-        const double hi_viol = beta_[i] - up;
-        if (hi_viol > worst) {
-          worst = hi_viol;
-          r = i;
-          above = true;
-        }
-      }
-    }
+    const int r = choose_leaving_row(bland, &above);
     if (r < 0) return Status::kOptimal;
+    const double target = above ? ub_[basis_[r]] : 0.0;
 
     gather_pivot_row(r);
-
-    // Entering column: dual ratio test over the pivot row's support
-    // (columns outside it have a zero pivot element and can never enter).
-    int best_j = -1;
-    double best_ratio = kInf;
-    double best_a = 0;
-    const double* rv = ws_.rowvals.data();
-    for (int j : ws_.support) {
-      if (j >= n_art_begin_) continue;
-      if (state_[j] == VarState::kBasic) continue;
-      const double a = rv[j];
-      const double arj = above ? -a : a;
-      double ratio;
-      if (state_[j] == VarState::kAtLower) {
-        if (arj >= -opts_.pivot_tol) continue;
-        ratio = std::max(0.0, zrow_[j]) / (-arj);
-      } else {
-        if (arj <= opts_.pivot_tol) continue;
-        ratio = std::max(0.0, -zrow_[j]) / arj;
-      }
-      if (best_j < 0 || ratio < best_ratio - 1e-12 ||
-          (ratio < best_ratio + 1e-12 &&
-           (bland ? j < best_j : std::abs(a) > std::abs(best_a)))) {
-        best_j = j;
-        best_ratio = ratio;
-        best_a = a;
-      }
-    }
-    if (best_j < 0) {
+    double step = 0;
+    const int q = dual_ratio_test(above, std::abs(beta_[r] - target), bland,
+                                  &step);
+    if (q < 0) {
       // No column can absorb the violation: primal infeasible — if the
       // numbers are real. Certify against the original matrix (O(nnz));
       // only a failed check costs a refactorization.
@@ -470,14 +570,13 @@ Status RevisedCore::dual_iterate() {
 
     ++iterations_;
     ++dual_iterations_;
-    if (best_ratio <= 1e-11) {
+    if (step <= 1e-11) {
       ++stall;
       if (stall > 2 * (m_ + ncols_)) bland = true;
     } else {
       stall = 0;
     }
 
-    const int q = best_j;
     ftran_column(q);
     const double arq = ws_.alpha[r];
     const bool drifted =
@@ -491,9 +590,31 @@ Status RevisedCore::dual_iterate() {
       continue;
     }
 
+    // Everything below reads the pre-pivot basis: tau = B^-1 rho for the
+    // weight update, and the primal effect of the flips, B^-1 sum_j a_j dx_j
+    // (dx_j = +u_j from lower, -u_j from upper), in one FTRAN.
+    std::copy(ws_.rho.begin(), ws_.rho.begin() + m_, ws_.tau.begin());
+    factor_.ftran(ws_.tau.data());
+    double* dflip = ws_.flip_delta.data();
+    const bool flipping = !ws_.flips.empty();
+    if (flipping) {
+      std::fill(dflip, dflip + m_, 0.0);
+      for (int j : ws_.flips) {  // artificials never price, so never flip
+        const double dx = dir_[j] * ub_[j];
+        if (j >= n_struct_) {
+          dflip[j - n_struct_] += dx;
+          continue;
+        }
+        for (int e = A_->col_ptr[j]; e < A_->col_ptr[j + 1]; ++e) {
+          dflip[A_->row_idx[e]] += A_->val[e] * dx;
+        }
+      }
+      factor_.ftran(dflip);
+    }
+
     const double dq = dir_[q];  // +1 entering from lower, -1 from upper
-    const double target = above ? ub_[basis_[r]] : 0.0;
-    double t = (beta_[r] - target) / (dq * arq);
+    const double beta_r = beta_[r] - (flipping ? dflip[r] : 0.0);
+    double t = (beta_r - target) / (dq * arq);
     if (t < 0) t = 0;
     const double enter_val = (dq > 0) ? t : ub_[q] - t;
     if (!apply_pivot(r, q, above ? -1 : 1, enter_val, /*use_devex=*/false)) {
@@ -504,8 +625,15 @@ Status RevisedCore::dual_iterate() {
     }
     const double* alpha = ws_.alpha.data();
     for (int i = 0; i < m_; ++i) {
-      if (i != r) beta_[i] -= dq * alpha[i] * t;
+      if (i == r) continue;
+      beta_[i] -= dq * alpha[i] * t + (flipping ? dflip[i] : 0.0);
     }
+    for (int j : ws_.flips) {
+      set_state(j, state_[j] == VarState::kAtLower ? VarState::kAtUpper
+                                                   : VarState::kAtLower);
+    }
+    bound_flips_ += static_cast<int>(ws_.flips.size());
+    update_dual_edge_weights(r);
     fresh = false;
   }
   return Status::kIterLimit;
@@ -535,6 +663,7 @@ Result RevisedCore::run_cold(const Problem& p) {
   Result res;
   iterations_ = 0;
   dual_iterations_ = 0;
+  bound_flips_ = 0;
   timer_.reset();
 
   shift_.resize(n_struct_);
@@ -596,6 +725,9 @@ Result RevisedCore::run_cold(const Problem& p) {
     }
     factor_.reset_diagonal(diag, m_, dense_inv_);
     recompute_beta();
+    // Rows of a diagonal +-1 inverse: every dual steepest-edge weight is 1.
+    dse_w_.assign(m_, 1.0);
+    dse_valid_ = true;
   }
 
   if (need_phase1_) {
@@ -639,6 +771,7 @@ Result RevisedCore::reoptimize_dual(const Problem& p) {
   Result res;
   iterations_ = 0;
   dual_iterations_ = 0;
+  bound_flips_ = 0;
   timer_.reset();
   res.warm_start_used = true;
   cost_ = cost2_;
@@ -656,10 +789,17 @@ Result RevisedCore::reoptimize_dual(const Problem& p) {
       recompute_beta();
       recompute_zrow();
     }
+    // The weights survive bound changes (the basis is untouched); only a
+    // cold solve's primal pivots leave them stale.
+    if (!dse_valid_) {
+      dse_w_ = exact_dual_edge_weights();
+      dse_valid_ = true;
+    }
     Status s = dual_iterate();
     res.status = s;
     res.iterations = iterations_;
     res.dual_iterations = dual_iterations_;
+    res.bound_flips = bound_flips_;
     if (s == Status::kIterLimit) return res;
     if (s == Status::kInfeasible) return res;  // residual-certified inside
     export_optimal(p, &res);

@@ -32,6 +32,13 @@
 /// the reduced costs (one BTRAN + sparse dot per column) from scratch at
 /// entry, so bound changes between solves are free and numeric drift cannot
 /// accumulate across a branch-and-bound dive.
+///
+/// The dual simplex prices leaving rows by dual steepest edge (Forrest &
+/// Goldfarb 1992): row i scores infeasibility_i^2 / w_i with
+/// w_i = ||e_i^T B^-1||^2, kept exact by one extra FTRAN per dual pivot. Its
+/// ratio test flips bounds (Fourer 1994): boxed columns whose breakpoints
+/// the dual step passes while the dual slope stays positive move to their
+/// opposite bound instead of each costing a pivot.
 #pragma once
 
 #include <vector>
@@ -55,8 +62,18 @@ struct SolveWorkspace {
   std::vector<int> col_stamp;   ///< rowvals validity stamps (ncols)
   std::vector<double> d;        ///< rhs / residual workspace (m)
   std::vector<double> y;        ///< dual prices workspace (m)
+  std::vector<double> tau;      ///< B^-1 rho (steepest-edge update) (m)
+  std::vector<double> flip_delta;  ///< B^-1 sum of flipped moves (m)
   std::vector<int> relabel;     ///< basis relabeling scratch (m)
   BasisColumns cols;            ///< basis assembly for refactorization
+  /// Dual ratio test: one breakpoint per eligible column of the pivot row.
+  struct Breakpoint {
+    double t;      ///< dual step at which the column's reduced cost hits 0
+    double abs_a;  ///< |pivot row entry|
+    int j;
+  };
+  std::vector<Breakpoint> breaks;
+  std::vector<int> flips;  ///< columns the current dual pivot flips
   int stamp_gen = 0;
 
   void ensure(int m, int ncols);
@@ -83,6 +100,14 @@ class RevisedCore {
   /// or kInfeasible (both trustworthy), or kIterLimit when the caller
   /// should cold restart (stall, drifted solution, singular basis).
   Result reoptimize_dual(const Problem& p);
+
+  /// Dual steepest-edge weights w_i ~ ||e_i^T B^-1||^2, indexed by row, as
+  /// maintained across dual pivots. Valid after a reoptimize_dual.
+  const std::vector<double>& dual_edge_weights() const { return dse_w_; }
+  /// The same norms computed exactly from the current factorization (one
+  /// BTRAN per row): how the weights start after a cold solve that
+  /// pivoted, and the reference the tests hold the maintained ones to.
+  std::vector<double> exact_dual_edge_weights();
 
  private:
   enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
@@ -119,6 +144,21 @@ class RevisedCore {
   bool residual_ok();
 
   int choose_entering(bool bland) const;
+  /// ||e_i^T B^-1||^2 by one BTRAN through `scratch` (m); a unit BTRAN
+  /// through the explicit inverse is an O(m) strided gather.
+  double exact_row_norm2(int i, double* scratch) const;
+  /// Dual leaving row: largest infeasibility^2 / w_i (Bland mode: smallest
+  /// basic column index). Sets *above when the row exceeds its upper bound.
+  /// -1 when the basis is primal feasible.
+  int choose_leaving_row(bool bland, bool* above) const;
+  /// Bound-flipping dual ratio test over the gathered pivot row of a row
+  /// with primal infeasibility `infeas` (> 0). Returns the entering column
+  /// (-1: no eligible column) and its dual step in *step; fills ws_.flips
+  /// with the boxed columns whose breakpoints the step passes.
+  int dual_ratio_test(bool above, double infeas, bool bland, double* step);
+  /// Forrest-Goldfarb weight update for the pivot just applied at row r;
+  /// reads the pre-pivot alpha, rho and tau = B^-1 rho from the workspace.
+  void update_dual_edge_weights(int r);
   /// Shared pivot bookkeeping once (r, q) is fixed and ws_.alpha /
   /// ws_.rowvals are loaded: eta append, incremental zrow update, state and
   /// basis flips. beta is updated by the caller (primal and dual move it
@@ -157,8 +197,11 @@ class RevisedCore {
   DevexPricing devex_;
   SolveWorkspace ws_;
   Timer timer_;  ///< solve wall clock, reset when iterations_ resets
+  std::vector<double> dse_w_;  ///< dual steepest-edge weights, by row
+  bool dse_valid_ = false;     ///< false once a primal pivot moved the basis
   int iterations_ = 0;
   int dual_iterations_ = 0;
+  int bound_flips_ = 0;
   bool need_phase1_ = false;
 };
 

@@ -18,9 +18,11 @@ void record_solve(const Result& r, bool warm) {
   static obs::Counter& pivots = obs::counter("lp.pivots");
   static obs::Counter& dual_pivots = obs::counter("lp.dual_pivots");
   static obs::Counter& warm_solves = obs::counter("lp.warm_solves");
+  static obs::Counter& bound_flips = obs::counter("lp.bound_flips");
   solves.add();
   pivots.add(r.iterations);
   dual_pivots.add(r.dual_iterations);
+  bound_flips.add(r.bound_flips);
   if (warm) warm_solves.add();
 }
 
@@ -199,6 +201,7 @@ Result IncrementalSimplex::solve() {
   span.arg("warm", hot_ ? "warm" : "cold");
   int wasted = 0;
   int wasted_dual = 0;
+  int wasted_flips = 0;
   if (hot_) {
     Result r = core_->reoptimize_dual(prob_);
     dual_pivots_ += r.dual_iterations;
@@ -213,11 +216,13 @@ Result IncrementalSimplex::solve() {
     }
     wasted = r.iterations;
     wasted_dual = r.dual_iterations;
+    wasted_flips = r.bound_flips;
     hot_ = false;
   }
   Result r = core_->run_cold(prob_);
   r.iterations += wasted;
   r.dual_iterations += wasted_dual;
+  r.bound_flips += wasted_flips;
   ++cold_solves_;
   hot_ = (r.status == Status::kOptimal);
   span.arg("status", to_string(r.status));

@@ -108,6 +108,8 @@ struct Result {
   std::vector<double> x;  ///< variable values (size = num_variables)
   int iterations = 0;       ///< total simplex pivots (primal + dual)
   int dual_iterations = 0;  ///< pivots spent in the dual simplex
+  /// Nonbasic columns moved to their opposite bound by the dual ratio test.
+  int bound_flips = 0;
   /// True when the solve re-optimized from a warm basis without phase 1.
   bool warm_start_used = false;
   /// Reduced costs of the structural variables at the optimum (empty when

@@ -33,7 +33,7 @@ struct Event {
   std::uint64_t ts_ns = 0;
   std::uint64_t dur_ns = 0;
   int nargs = 0;
-  TraceArg args[kMaxTraceArgs];
+  TraceArg args[kMaxTraceArgs] = {};
 };
 
 /// Per-thread event ring. The owner thread pushes under `mu` (uncontended
@@ -176,15 +176,14 @@ void flush_locked(State& s) {
            " thread(s), ", dropped, " dropped)");
 }
 
+// Each write initializes the whole arg, so copying it into an Event never
+// reads indeterminate bytes (TraceArg itself has no initializers).
 void set_arg(TraceArg& a, const char* key, double v) {
-  a.key = key;
-  a.is_string = false;
-  a.num = v;
+  a = TraceArg{key, false, v, {}};
 }
 
 void set_arg(TraceArg& a, const char* key, const char* v) {
-  a.key = key;
-  a.is_string = true;
+  a = TraceArg{key, true, 0, {}};
   std::snprintf(a.str, sizeof a.str, "%s", v ? v : "");
 }
 

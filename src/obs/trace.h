@@ -47,15 +47,18 @@ void trace_start(const std::string& path, std::size_t ring_capacity = 1 << 15);
 /// Ends the session and writes the JSON file. No-op when not tracing.
 void trace_stop();
 
-/// One key/value annotation on a trace event.
+/// One key/value annotation on a trace event. Deliberately without member
+/// initializers: every ObsSpan holds kMaxTraceArgs of them, and only the
+/// first nargs, written by arg() while the span is active, are ever read —
+/// so an untraced span never touches them.
 struct TraceArg {
-  const char* key = nullptr;
-  bool is_string = false;
-  double num = 0;
-  char str[24] = {};  ///< truncated copy for string values
+  const char* key;
+  bool is_string;
+  double num;
+  char str[24];  ///< truncated copy for string values
 };
 
-inline constexpr int kMaxTraceArgs = 3;
+inline constexpr int kMaxTraceArgs = 4;
 
 /// RAII traced scope. Usage:
 ///   obs::ObsSpan span("dist_opt.window_solve");

@@ -224,9 +224,8 @@ RouteMetrics Router::route() {
     const long overflow = state_.total_overflow();
     if (overflow == 0) break;
     ripup_rounds_metric.add();
-    // Three args fill the span; the round is its position in route.route.
     obs::ObsSpan ripup_span("route.ripup_iteration");
-    ripup_span.arg("overflow", overflow);
+    ripup_span.arg("iter", iter).arg("overflow", overflow);
     const long expansions_before = state_.expansions();
     state_.accumulate_history();
     // Rip up nets that currently use an overused edge, then reroute.

@@ -196,6 +196,8 @@ cache_hits;flow:cache_hits;info
 milp_nodes;flow:milp_nodes;info
 lp_solves;counter:lp.solves;info
 lp_iterations;counter:lp.pivots;info
+lp_dual_pivots;counter:lp.dual_pivots;info
+lp_bound_flips;counter:lp.bound_flips;info
 maze_expansions;counter:route.maze_expansions;info
 maze_searches;counter:route.maze_searches;info
 heap_pushes;counter:route.heap_pushes;info

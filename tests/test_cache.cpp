@@ -225,6 +225,25 @@ TEST_F(StoreFixture, StaleEpochDiscardsWholesale) {
   EXPECT_TRUE(s.lookup(5, 5).has_value());
 }
 
+// A store written by the previous solver generation must open empty under
+// this build's epoch: its windows were solved by different pivot rules, so
+// replaying them would not be bit-identical to re-solving.
+TEST_F(StoreFixture, PreviousSolverEpochOpensEmpty) {
+  const std::uint64_t previous =
+      hash::splitmix_mix(cache::kSolverEpoch - 1,
+                         static_cast<std::uint64_t>(fault::kNumSites));
+  ASSERT_NE(previous, cache::default_epoch());
+  {
+    cache::CacheStore s(opts(previous));
+    s.put(1, 1, bytes({1}));
+    EXPECT_EQ(s.entries(), 1u);
+  }
+  cache::CacheStore s(opts(cache::default_epoch()));
+  EXPECT_TRUE(s.open_report().stale_epoch);
+  EXPECT_EQ(s.entries(), 0u);
+  EXPECT_FALSE(s.lookup(1, 1).has_value());
+}
+
 TEST_F(StoreFixture, FormatVersionMismatchDiscardsWholesale) {
   {
     cache::CacheStore s(opts());

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "lp/factor.h"
+#include "lp/revised.h"
 #include "lp_oracle/dense_tableau.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -583,6 +584,163 @@ TEST(SimplexDifferentialWarm, IncrementalWalkMatchesDenseOracle) {
   // The walk must reach both the warm path and infeasible nodes.
   EXPECT_GT(warm_solves, kFuzzAuxInstances);
   EXPECT_GT(infeasible_steps, 0);
+}
+
+// ---- dual steepest edge + bound-flipping ratio test ----
+
+/// LP relaxation of a window MILP: per-cell candidate binaries (lambdas)
+/// picking one of a few positions, shared-site exclusivity rows, and
+/// alignment binaries rewarded through big-M pair rows. Every binary is
+/// boxed [0, 1], the shape the bound-flipping ratio test exploits.
+Problem window_shaped_lp(Rng& rng, std::vector<int>* binaries) {
+  const int cells = 4 + static_cast<int>(rng.uniform(4));
+  const int cands = 3 + static_cast<int>(rng.uniform(3));
+  Problem p;
+  std::vector<std::vector<int>> lam(cells);
+  std::vector<int> xpos(cells);
+  for (int c = 0; c < cells; ++c) {
+    for (int k = 0; k < cands; ++k) {
+      lam[c].push_back(
+          p.add_variable(0, 1, 0.1 * static_cast<double>(rng.uniform(40))));
+      binaries->push_back(lam[c].back());
+    }
+    xpos[c] = p.add_variable(0, 30, 0);
+    std::vector<std::pair<int, double>> link{{xpos[c], 1.0}};
+    std::vector<std::pair<int, double>> pick;
+    for (int v : lam[c]) {
+      link.emplace_back(v, -static_cast<double>(rng.uniform(30)));
+      pick.emplace_back(v, 1.0);
+    }
+    p.add_constraint(link, Sense::kEq, 0);
+    p.add_constraint(pick, Sense::kEq, 1);
+  }
+  for (int r = 0; r < cells; ++r) {
+    std::vector<std::pair<int, double>> site;
+    for (int c = 0; c < cells; ++c) {
+      site.emplace_back(lam[c][rng.uniform(cands)], 1.0);
+    }
+    p.add_constraint(site, Sense::kLe, 1);
+  }
+  const double big_m = 40;
+  for (int i = 0; i < 2 * cells; ++i) {
+    const int a = static_cast<int>(rng.uniform(cells));
+    const int b = static_cast<int>(rng.uniform(cells));
+    if (a == b) continue;
+    const int d = p.add_variable(0, 1, -6.0 - static_cast<double>(rng.uniform(6)));
+    binaries->push_back(d);
+    p.add_constraint({{xpos[a], 1.0}, {xpos[b], -1.0}, {d, big_m}},
+                     Sense::kLe, big_m);
+    p.add_constraint({{xpos[b], 1.0}, {xpos[a], -1.0}, {d, big_m}},
+                     Sense::kLe, big_m);
+  }
+  return p;
+}
+
+/// One branch-and-bound-style step on `q`: fix a binary that is fractional
+/// at `x` to 0 or 1, or (when none is, or by chance) release a fixed one.
+/// Returns the variable and its new bounds.
+struct BoundStep {
+  int v;
+  double lo, hi;
+};
+BoundStep branch_step(Rng& rng, const Problem& q, const std::vector<int>& bin,
+                      const std::vector<double>& x) {
+  std::vector<int> frac, fixed;
+  for (int v : bin) {
+    if (q.lower_bound(v) == q.upper_bound(v)) {
+      fixed.push_back(v);
+    } else if (!x.empty() && std::abs(x[v] - std::round(x[v])) > 1e-6) {
+      frac.push_back(v);
+    }
+  }
+  if (!fixed.empty() && (frac.empty() || rng.chance(0.25))) {
+    return {fixed[rng.uniform(fixed.size())], 0.0, 1.0};
+  }
+  const int v = frac.empty() ? bin[rng.uniform(bin.size())]
+                             : frac[rng.uniform(frac.size())];
+  const double b = rng.chance(0.5) ? 1.0 : 0.0;
+  return {v, b, b};
+}
+
+// The production warm path on window-shaped LPs against the dense oracle, in
+// both basis representations: a branching walk of 0/1 fixes and releases,
+// checked at every step, that must exercise the bound-flipping ratio test.
+TEST(SimplexDualRules, WindowShapedWarmWalkMatchesDenseOracle) {
+  obs::Counter& flips = obs::counter("lp.bound_flips");
+  const long flips_before = flips.value();
+  for (int dense_dim : {SimplexSolver::Options{}.dense_inverse_dim, 0}) {
+    SimplexSolver::Options o;
+    o.dense_inverse_dim = dense_dim;
+    int warm_solves = 0;
+    for (int i = 0; i < kFuzzAuxInstances / 4; ++i) {
+      Rng rng(880000 + i);
+      std::vector<int> bin;
+      Problem p = window_shaped_lp(rng, &bin);
+      IncrementalSimplex inc(p, o);
+      Problem q = p;
+      Result ri = inc.solve();
+      Result rd = oracle_solve(q);
+      ASSERT_EQ(ri.status, rd.status) << "instance " << i;
+      std::vector<double> x = rd.x;
+      for (int step = 0; step < 16; ++step) {
+        const BoundStep b = branch_step(rng, q, bin, x);
+        inc.set_bounds(b.v, b.lo, b.hi);
+        q.set_bounds(b.v, b.lo, b.hi);
+        ri = inc.solve();
+        rd = oracle_solve(q);
+        ASSERT_EQ(ri.status, rd.status)
+            << "dim " << dense_dim << " instance " << i << " step " << step;
+        x.clear();
+        if (rd.status != Status::kOptimal) continue;
+        EXPECT_NEAR(ri.objective, rd.objective, 1e-6)
+            << "dim " << dense_dim << " instance " << i << " step " << step;
+        EXPECT_LT(q.max_violation(ri.x), 1e-5);
+        x = rd.x;
+      }
+      warm_solves += inc.warm_solves();
+    }
+    EXPECT_GT(warm_solves, kFuzzAuxInstances) << "dim " << dense_dim;
+  }
+  EXPECT_GT(flips.value() - flips_before, 0);
+}
+
+// The maintained dual steepest-edge weights are exact row norms of B^-1:
+// after every warm re-solve that pivoted, they match a from-scratch
+// computation (one BTRAN per row) to 1e-9 relative.
+TEST(SimplexDualRules, SteepestEdgeWeightsStayExact) {
+  for (int dense_dim : {SimplexSolver::Options{}.dense_inverse_dim, 0}) {
+    SimplexSolver::Options o;
+    o.dense_inverse_dim = dense_dim;
+    int checked = 0;
+    for (int i = 0; i < 20; ++i) {
+      Rng rng(990000 + i);
+      std::vector<int> bin;
+      Problem p = window_shaped_lp(rng, &bin);
+      detail::RevisedCore core(p, o);
+      Result r = core.run_cold(p);
+      if (r.status != Status::kOptimal) continue;
+      std::vector<double> x = r.x;
+      for (int step = 0; step < 16; ++step) {
+        const BoundStep b = branch_step(rng, p, bin, x);
+        p.set_bounds(b.v, b.lo, b.hi);
+        ASSERT_TRUE(core.set_bounds_incremental(b.v, b.lo, b.hi));
+        r = core.reoptimize_dual(p);
+        if (r.status == Status::kIterLimit) break;  // would cold restart
+        x = r.x;
+        if (r.dual_iterations == 0) continue;
+        const std::vector<double> w = core.dual_edge_weights();
+        const std::vector<double> exact = core.exact_dual_edge_weights();
+        ASSERT_EQ(w.size(), exact.size());
+        for (std::size_t k = 0; k < w.size(); ++k) {
+          EXPECT_NEAR(w[k], exact[k], 1e-9 * exact[k])
+              << "dim " << dense_dim << " instance " << i << " step " << step
+              << " row " << k;
+        }
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 40) << "dim " << dense_dim;
+  }
 }
 
 // ---- refactor policy ----
