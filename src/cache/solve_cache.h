@@ -32,8 +32,10 @@ namespace vm1::cache {
 /// cannot see (solver algorithm rework, objective redefinition). Persisted
 /// entries from other epochs are discarded at open. Generation 2: the dual
 /// simplex prices by steepest edge and flips bounds in its ratio test, so
-/// node-capped windows can end on different incumbents.
-inline constexpr std::uint64_t kSolverEpoch = 2;
+/// node-capped windows can end on different incumbents. Generation 3: the
+/// ClosedM1 window MILP folds one-cell nets into lambda costs and replaces
+/// the big-M alignment rows with value-disaggregated ones.
+inline constexpr std::uint64_t kSolverEpoch = 3;
 
 /// The epoch a store must be opened with for this build's solver: the
 /// solver generation mixed with the fault-site census (adding a site

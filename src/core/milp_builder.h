@@ -3,17 +3,20 @@
 ///
 /// ClosedM1 (Eq. (1)-(9)): minimize  -alpha * sum(d_pq) + sum(beta * w_n)
 /// where d_pq = 1 only if pins p, q of a net have equal absolute x and
-/// |dy| <= gamma_closed * H (big-M constraints (4)); the SCP lambda
-/// candidates (5)-(8) choose each cell's placement and (9) keeps sites
-/// exclusive.
+/// |dy| <= gamma_closed * H; the SCP lambda candidates (5)-(8) choose each
+/// cell's placement and (9) keeps sites exclusive. Eq. (4) is written as
+/// value-disaggregated rows over the lambdas instead of the paper's big-M
+/// pair rows: the same integer set with a tighter LP relaxation.
 ///
 /// OpenM1 (Eq. (10)-(14)): adds per-pair overlap interval [a, b], the
 /// out-of-range indicator v_pq (|dy| > gamma * H forces v = 1, and (14)
-/// d + v <= 1), and the overlap length o_pq rewarded with weight epsilon.
+/// d + v <= 1), and the overlap length o_pq rewarded with weight epsilon,
+/// with big-M values computed from candidate ranges.
 ///
-/// The builder folds fixed pins into variable bounds, prunes pairs that can
-/// never align/overlap under the candidate sets, and uses per-pair big-M
-/// values computed from candidate ranges (tight M ==> strong LP bounds).
+/// For both, the builder folds fixed pins into variable bounds, folds nets
+/// whose movable pins all sit on one cell into that cell's lambda costs
+/// (no bound variables), skips site rows over a single cell's lambdas, and
+/// prunes pairs that can never align/overlap under the candidate sets.
 #pragma once
 
 #include <optional>
@@ -96,7 +99,8 @@ class BuiltMilp {
   std::vector<std::vector<Candidate>> cands;  ///< per cell
   std::vector<std::vector<int>> lambda;       ///< per cell: lambda var ids
   std::vector<AlignPair> pairs;
-  /// Net bound variables (xmax, xmin, ymax, ymin) per included net.
+  /// Net bound variables (xmax, xmin, ymax, ymin) per net whose movable
+  /// pins span two or more cells (one-cell nets live in lambda costs).
   struct NetVars {
     int net;
     int xmax, xmin, ymax, ymin;

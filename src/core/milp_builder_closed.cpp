@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/milp_builder_detail.h"
+#include "obs/metrics.h"
 #include "place/hpwl.h"
 #include "timing/sta.h"
 
@@ -18,11 +19,9 @@ using detail::PinGeom;
 namespace detail {
 
 void add_diff_constraint(milp::Model& model, const LinExpr& a,
-                         const LinExpr& b, int d_var, double coeff_d,
-                         double rhs) {
+                         const LinExpr& b, double rhs) {
   std::vector<std::pair<int, double>> terms = a.terms;
   for (const auto& [v, c] : b.terms) terms.emplace_back(v, -c);
-  if (d_var >= 0) terms.emplace_back(d_var, coeff_d);
   model.add_constraint(std::move(terms), lp::Sense::kLe,
                        rhs - a.constant + b.constant);
 }
@@ -83,8 +82,40 @@ PinGeom make_pin_geom(const Design& d, const BuiltMilp& built,
   return g;
 }
 
+namespace {
+
+/// A movable pin's (coordinate value, candidate index) pairs sorted by
+/// value: the candidates placing the pin at one value form a contiguous run.
+/// Candidate k's lambda is term k of every PinGeom expression.
+using ValueBuckets = std::vector<std::pair<double, int>>;
+
+ValueBuckets by_value(const LinExpr& coord) {
+  ValueBuckets out;
+  out.reserve(coord.terms.size());
+  for (std::size_t k = 0; k < coord.terms.size(); ++k) {
+    out.emplace_back(coord.terms[k].second, static_cast<int>(k));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The run of `b` whose values lie in [lo, hi].
+std::pair<ValueBuckets::const_iterator, ValueBuckets::const_iterator> run_of(
+    const ValueBuckets& b, double lo, double hi) {
+  auto first = std::lower_bound(
+      b.begin(), b.end(), lo,
+      [](const std::pair<double, int>& e, double v) { return e.first < v; });
+  auto last = std::upper_bound(
+      first, b.end(), hi,
+      [](double v, const std::pair<double, int>& e) { return v < e.first; });
+  return {first, last};
+}
+
+}  // namespace
+
 bool add_closed_pair(const WindowProblem& prob, BuiltMilp& built,
                      AlignPair& pair, const PinGeom& P, const PinGeom& Q) {
+  assert(P.movable || Q.movable);
   const double H =
       static_cast<double>(prob.design->tech().row_height());
   const double y_bound = prob.params.gamma_closed * H;
@@ -95,21 +126,83 @@ bool add_closed_pair(const WindowProblem& prob, BuiltMilp& built,
       std::max({0.0, P.y_min - Q.y_max, Q.y_min - P.y_max});
   if (min_dy > y_bound) return false;
 
+  // (4), value-disaggregated over the lambdas. The pair aligns only when
+  // both pins sit on one x track within gamma rows, so d_pq = 1 must pick
+  // candidates that do.
   milp::Model& m = built.model;
-  pair.d_var = m.add_binary(-prob.params.alpha, "d");
-  m.set_branch_priority(pair.d_var, 1);  // big-M rows: branch d first
+  auto add_d = [&] {
+    pair.d_var = m.add_binary(-prob.params.alpha, "d");
+    // One d settles a whole pin pair: branch it before the lambdas.
+    m.set_branch_priority(pair.d_var, 1);
+  };
 
-  const double gx =
-      std::max(P.x_max - Q.x_min, Q.x_max - P.x_min) + 1.0;
-  const double gy =
-      std::max(P.y_max - Q.y_min, Q.y_max - P.y_min) + y_bound + 1.0;
+  // Fixed pin F, movable pin M:  d <= sum(lambda_M@k), over the candidates
+  // k that put M on F's track within gamma rows.
+  if (!P.movable || !Q.movable) {
+    const PinGeom& F = P.movable ? Q : P;
+    const PinGeom& M = P.movable ? P : Q;
+    std::vector<std::pair<int, double>> row;
+    for (std::size_t k = 0; k < M.x.terms.size(); ++k) {
+      if (M.x.terms[k].second == F.x.constant &&
+          std::abs(M.y.terms[k].second - F.y.constant) <= y_bound) {
+        row.emplace_back(M.x.terms[k].first, -1.0);
+      }
+    }
+    if (row.empty()) return false;
+    add_d();
+    row.emplace_back(pair.d_var, 1.0);
+    m.add_constraint(std::move(row), lp::Sense::kLe, 0.0);
+    return true;
+  }
 
-  // (4): x_p - x_q <= G(1 - d)  and symmetric.
-  detail::add_diff_constraint(m, P.x, Q.x, pair.d_var, gx, gx);
-  detail::add_diff_constraint(m, Q.x, P.x, pair.d_var, gx, gx);
-  // (4): |y_p - y_q| <= G(1 - d) + gamma_closed * H.
-  detail::add_diff_constraint(m, P.y, Q.y, pair.d_var, gy, gy + y_bound);
-  detail::add_diff_constraint(m, Q.y, P.y, pair.d_var, gy, gy + y_bound);
+  // Two movable pins; A has the fewer candidates. With A at x value v, d = 1
+  // forces B onto v, and with A at y value u, B within gamma rows of u:
+  //   d + sum(lambda_A@v) - sum(lambda_B@v)                    <= 1
+  //   d + sum(lambda_A@u) - sum(lambda_B within gamma rows of u) <= 1
+  const bool p_is_a = P.x.terms.size() <= Q.x.terms.size();
+  const PinGeom& A = p_is_a ? P : Q;
+  const PinGeom& B = p_is_a ? Q : P;
+  const ValueBuckets ax = by_value(A.x), ay = by_value(A.y);
+  const ValueBuckets bx = by_value(B.x), by = by_value(B.y);
+
+  // Exact pruning: without a candidate pair on one track within gamma rows
+  // d could never be 1.
+  bool reachable = false;
+  for (std::size_t k = 0; k < A.x.terms.size() && !reachable; ++k) {
+    const double ya = A.y.terms[k].second;
+    auto [first, last] = run_of(bx, A.x.terms[k].second, A.x.terms[k].second);
+    for (auto it = first; it != last && !reachable; ++it) {
+      reachable = std::abs(B.y.terms[it->second].second - ya) <= y_bound;
+    }
+  }
+  if (!reachable) return false;
+  add_d();
+
+  using Run = std::pair<ValueBuckets::const_iterator,
+                        ValueBuckets::const_iterator>;
+  auto emit = [&](Run a_run, Run b_run) {
+    std::vector<std::pair<int, double>> row{{pair.d_var, 1.0}};
+    for (auto it = a_run.first; it != a_run.second; ++it) {
+      row.emplace_back(A.x.terms[it->second].first, 1.0);
+    }
+    for (auto it = b_run.first; it != b_run.second; ++it) {
+      row.emplace_back(B.x.terms[it->second].first, -1.0);
+    }
+    m.add_constraint(std::move(row), lp::Sense::kLe, 1.0);
+  };
+  for (auto it = ax.begin(); it != ax.end();) {
+    Run a_run = run_of(ax, it->first, it->first);
+    emit(a_run, run_of(bx, it->first, it->first));
+    it = a_run.second;
+  }
+  for (auto it = ay.begin(); it != ay.end();) {
+    Run a_run = run_of(ay, it->first, it->first);
+    Run b_run = run_of(by, it->first - y_bound, it->first + y_bound);
+    if (b_run.second - b_run.first != static_cast<std::ptrdiff_t>(by.size())) {
+      emit(a_run, b_run);
+    }
+    it = a_run.second;
+  }
   return true;
 }
 
@@ -135,6 +228,14 @@ std::vector<PairPin> net_instance_pins(
   return out;
 }
 
+/// A net's pins split into window-movable pins and the bounding box of the
+/// rest (fixed instance pins and IO terminals).
+struct NetSplit {
+  int net = -1;
+  BBox fixed;
+  std::vector<PairPin> movs;
+};
+
 }  // namespace
 
 BuiltMilp build_window_milp(const WindowProblem& prob) {
@@ -153,30 +254,92 @@ BuiltMilp build_window_milp(const WindowProblem& prob) {
 
   auto fixed_mask = fixed_site_mask(d, prob.window, prob.movable);
 
-  // --- SCP candidates and lambda variables (Eq. (5)-(8)) -----------------
+  // --- SCP candidates (Eq. (6)-(8)) ---------------------------------------
   for (std::size_t m = 0; m < built.cells.size(); ++m) {
     int inst = built.cells[m];
     built.inst_to_movable_[inst] = static_cast<int>(m);
     built.cands.push_back(enumerate_candidates(
         d, inst, prob.window, fixed_mask, prob.lx, prob.ly, prob.allow_move,
         prob.allow_flip));
+  }
+
+  // --- Nets (Eq. (2)-(3)) --------------------------------------------------
+  // A net whose movable pins all sit on one cell has an HPWL fixed by that
+  // cell's candidate, so beta * HPWL folds into the candidate's lambda cost:
+  // exact at integer points, and a tighter LP bound than bound variables (a
+  // mix of HPWLs is never below the HPWL of the mix). The other nets keep
+  // bound variables.
+  std::set<int> nets;
+  for (int inst : built.cells) {
+    for (int n : nets_of_instance(d, inst)) nets.insert(n);
+  }
+  std::vector<std::vector<double>> lambda_cost(built.cells.size());
+  for (std::size_t m = 0; m < built.cells.size(); ++m) {
+    lambda_cost[m].assign(built.cands[m].size(), 0.0);
+  }
+  std::vector<NetSplit> coupled;
+  for (int net : nets) {
+    const Net& n = nl.net(net);
+    if (!n.routable()) continue;
+    NetSplit split;
+    split.net = net;
+    bool one_cell = true;
+    for (const NetPin& p : n.pins) {
+      auto it = p.is_io() ? built.inst_to_movable_.end()
+                          : built.inst_to_movable_.find(p.inst);
+      if (it == built.inst_to_movable_.end()) {
+        split.fixed.add(d.pin_position(p));
+        continue;
+      }
+      if (!split.movs.empty() && split.movs.front().movable_idx != it->second) {
+        one_cell = false;
+      }
+      split.movs.push_back(PairPin{p.inst, p.pin, it->second});
+    }
+    if (split.movs.empty()) continue;
+    if (!one_cell) {
+      coupled.push_back(std::move(split));
+      continue;
+    }
+    const int m = split.movs.front().movable_idx;
+    const Cell& c = nl.cell_of(built.cells[m]);
+    const double beta = prob.params.beta_of(net);
+    for (std::size_t k = 0; k < built.cands[m].size(); ++k) {
+      const Candidate& cd = built.cands[m][k];
+      BBox box = split.fixed;
+      for (const PairPin& mp : split.movs) {
+        box.add(Point{cd.x + c.pin_x_track(mp.pin, cd.flipped),
+                      static_cast<Coord>(cd.row) * H + c.pins[mp.pin].y_off});
+      }
+      lambda_cost[m][k] +=
+          beta * static_cast<double>(box.rect().half_perimeter());
+    }
+  }
+
+  // --- Lambda variables, exactly one candidate per cell (Eq. (5)) ---------
+  for (std::size_t m = 0; m < built.cells.size(); ++m) {
     std::vector<int> lams;
-    for (std::size_t k = 0; k < built.cands.back().size(); ++k) {
-      lams.push_back(built.model.add_binary(0.0, "l"));
+    for (double cost : lambda_cost[m]) {
+      lams.push_back(built.model.add_binary(cost, "l"));
     }
     built.lambda.push_back(std::move(lams));
-    // Exactly one candidate (Eq. (5)).
     std::vector<std::pair<int, double>> row;
     for (int v : built.lambda.back()) row.emplace_back(v, 1.0);
     built.model.add_constraint(std::move(row), lp::Sense::kEq, 1.0);
   }
 
   // --- Site exclusivity (Eq. (9)) -----------------------------------------
+  // A site row over one cell's lambdas only is implied by that cell's
+  // Eq. (5) row and is skipped.
   {
     const int wsites = prob.window.width();
     const int wrows = prob.window.rows();
-    std::vector<std::vector<std::pair<int, double>>> site_terms(
-        static_cast<std::size_t>(wsites) * wrows);
+    struct Site {
+      std::vector<std::pair<int, double>> terms;
+      int cell = -1;
+      bool shared = false;
+    };
+    std::vector<Site> sites(static_cast<std::size_t>(wsites) * wrows);
     for (std::size_t m = 0; m < built.cells.size(); ++m) {
       const int w = nl.cell_of(built.cells[m]).width_sites;
       for (std::size_t k = 0; k < built.cands[m].size(); ++k) {
@@ -185,68 +348,38 @@ BuiltMilp build_window_milp(const WindowProblem& prob) {
         for (int s = cd.x; s < cd.x + w; ++s) {
           int sx = s - prob.window.x0;
           if (r < 0 || r >= wrows || sx < 0 || sx >= wsites) continue;
-          site_terms[static_cast<std::size_t>(r) * wsites + sx]
-              .emplace_back(built.lambda[m][k], 1.0);
+          Site& site = sites[static_cast<std::size_t>(r) * wsites + sx];
+          if (site.cell >= 0 && site.cell != static_cast<int>(m)) {
+            site.shared = true;
+          }
+          site.cell = static_cast<int>(m);
+          site.terms.emplace_back(built.lambda[m][k], 1.0);
         }
       }
     }
-    for (auto& terms : site_terms) {
-      if (terms.size() < 2) continue;
-      built.model.add_constraint(std::move(terms), lp::Sense::kLe, 1.0);
+    for (Site& site : sites) {
+      if (!site.shared) continue;
+      built.model.add_constraint(std::move(site.terms), lp::Sense::kLe, 1.0);
     }
   }
 
-  // --- Nets: HPWL variables and bound constraints (Eq. (2)-(3)) ----------
-  std::set<int> nets;
-  for (int inst : built.cells) {
-    for (int n : nets_of_instance(d, inst)) nets.insert(n);
-  }
-
-  for (int net : nets) {
-    const Net& n = nl.net(net);
-    if (!n.routable()) continue;
-    bool any_fixed = false;
-    double fx_max = 0, fx_min = 0, fy_max = 0, fy_min = 0;
-    struct MovPin {
-      int movable_idx, inst, pin;
-    };
-    std::vector<MovPin> movs;
-    for (const NetPin& p : n.pins) {
-      int midx = -1;
-      if (!p.is_io()) {
-        auto it = built.inst_to_movable_.find(p.inst);
-        if (it != built.inst_to_movable_.end()) midx = it->second;
-      }
-      if (midx >= 0) {
-        movs.push_back({midx, p.inst, p.pin});
-      } else {
-        Point pos = d.pin_position(p);
-        if (!any_fixed) {
-          fx_max = fx_min = static_cast<double>(pos.x);
-          fy_max = fy_min = static_cast<double>(pos.y);
-          any_fixed = true;
-        } else {
-          fx_max = std::max(fx_max, static_cast<double>(pos.x));
-          fx_min = std::min(fx_min, static_cast<double>(pos.x));
-          fy_max = std::max(fy_max, static_cast<double>(pos.y));
-          fy_min = std::min(fy_min, static_cast<double>(pos.y));
-        }
-      }
-    }
-    if (movs.empty()) continue;
-
-    const double beta = prob.params.beta_of(net);
+  // --- Bound variables of the coupled nets --------------------------------
+  for (const NetSplit& split : coupled) {
+    const double beta = prob.params.beta_of(split.net);
+    const bool any_fixed = !split.fixed.empty();
+    const Rect fr = any_fixed ? split.fixed.rect() : Rect{};
     BuiltMilp::NetVars nv;
-    nv.net = net;
-    nv.xmax = built.model.add_continuous(any_fixed ? fx_max : 0.0, W, beta);
-    nv.xmin =
-        built.model.add_continuous(0.0, any_fixed ? fx_min : W, -beta);
-    nv.ymax =
-        built.model.add_continuous(any_fixed ? fy_max : 0.0, Hcore, beta);
-    nv.ymin =
-        built.model.add_continuous(0.0, any_fixed ? fy_min : Hcore, -beta);
+    nv.net = split.net;
+    nv.xmax = built.model.add_continuous(
+        any_fixed ? static_cast<double>(fr.hx) : 0.0, W, beta);
+    nv.xmin = built.model.add_continuous(
+        0.0, any_fixed ? static_cast<double>(fr.lx) : W, -beta);
+    nv.ymax = built.model.add_continuous(
+        any_fixed ? static_cast<double>(fr.hy) : 0.0, Hcore, beta);
+    nv.ymin = built.model.add_continuous(
+        0.0, any_fixed ? static_cast<double>(fr.ly) : Hcore, -beta);
 
-    for (const MovPin& mp : movs) {
+    for (const PairPin& mp : split.movs) {
       PinGeom g = detail::make_pin_geom(d, built, mp.movable_idx, mp.inst,
                                         mp.pin);
       // expr - xmax <= 0 ; xmin - expr <= 0; same for y.
@@ -255,10 +388,10 @@ BuiltMilp build_window_milp(const WindowProblem& prob) {
       xmin_e.add(nv.xmin, 1.0);
       ymax_e.add(nv.ymax, 1.0);
       ymin_e.add(nv.ymin, 1.0);
-      detail::add_diff_constraint(built.model, g.x, xmax_e, -1, 0.0, 0.0);
-      detail::add_diff_constraint(built.model, xmin_e, g.x, -1, 0.0, 0.0);
-      detail::add_diff_constraint(built.model, g.y, ymax_e, -1, 0.0, 0.0);
-      detail::add_diff_constraint(built.model, ymin_e, g.y, -1, 0.0, 0.0);
+      detail::add_diff_constraint(built.model, g.x, xmax_e, 0.0);
+      detail::add_diff_constraint(built.model, xmin_e, g.x, 0.0);
+      detail::add_diff_constraint(built.model, g.y, ymax_e, 0.0);
+      detail::add_diff_constraint(built.model, ymin_e, g.y, 0.0);
     }
     built.net_vars.push_back(nv);
   }
@@ -310,7 +443,11 @@ BuiltMilp build_window_milp(const WindowProblem& prob) {
       }
     }
   }
-  (void)H;
+
+  static obs::Counter& rows_metric = obs::counter("milp.rows");
+  static obs::Counter& cols_metric = obs::counter("milp.cols");
+  rows_metric.add(built.model.num_constraints());
+  cols_metric.add(built.model.num_variables());
   return built;
 }
 

@@ -30,12 +30,9 @@ struct PinGeom {
   double y_min = 0, y_max = 0;
 };
 
-/// Emits `lhs_terms + sign*var_terms <= rhs` style rows; convenience around
-/// Model::add_constraint for expression pairs.
-/// Adds the constraint  exprA - exprB + coeff_d * d <= rhs.
+/// Adds the constraint  a - b <= rhs.
 void add_diff_constraint(milp::Model& model, const LinExpr& a,
-                         const LinExpr& b, int d_var, double coeff_d,
-                         double rhs);
+                         const LinExpr& b, double rhs);
 
 /// Builds PinGeom for (inst, pin). `movable_idx` >= 0 selects the movable
 /// cell whose candidates/lambdas drive the expressions.

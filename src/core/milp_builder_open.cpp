@@ -36,10 +36,10 @@ bool add_open_pair(const WindowProblem& prob, BuiltMilp& built,
   o_e.add(pair.o_var, 1.0);
 
   // (11): a >= xlo_p, a >= xlo_q;  b <= xhi_p, b <= xhi_q.
-  add_diff_constraint(m, P.xlo, a_e, -1, 0.0, 0.0);
-  add_diff_constraint(m, Q.xlo, a_e, -1, 0.0, 0.0);
-  add_diff_constraint(m, b_e, P.xhi, -1, 0.0, 0.0);
-  add_diff_constraint(m, b_e, Q.xhi, -1, 0.0, 0.0);
+  add_diff_constraint(m, P.xlo, a_e, 0.0);
+  add_diff_constraint(m, Q.xlo, a_e, 0.0);
+  add_diff_constraint(m, b_e, P.xhi, 0.0);
+  add_diff_constraint(m, b_e, Q.xhi, 0.0);
 
   // (12) + (14): v_pq = 1 when |dy| > gamma*H; d + v <= 1. Skipped when the
   // pins are always within range (v statically 0).
@@ -47,13 +47,14 @@ bool add_open_pair(const WindowProblem& prob, BuiltMilp& built,
   if (max_dy > y_bound) {
     pair.v_var = m.add_binary(0.0, "v");
     const double gv = max_dy - y_bound + 1.0;
-    LinExpr empty;
     // y_p - y_q - gv * v <= gamma*H  (and symmetric).
-    add_diff_constraint(m, P.y, Q.y, pair.v_var, -gv, y_bound);
-    add_diff_constraint(m, Q.y, P.y, pair.v_var, -gv, y_bound);
+    LinExpr py = P.y, qy = Q.y;
+    py.add(pair.v_var, -gv);
+    qy.add(pair.v_var, -gv);
+    add_diff_constraint(m, py, Q.y, y_bound);
+    add_diff_constraint(m, qy, P.y, y_bound);
     m.add_constraint({{pair.d_var, 1.0}, {pair.v_var, 1.0}}, lp::Sense::kLe,
                      1.0);
-    (void)empty;
   }
 
   // (13): o <= b - a - delta + G(1-d);  o <= G*d;  o >= 0 (variable bound).

@@ -308,10 +308,7 @@ Status RevisedCore::iterate(bool phase1) {
   bool bland = false;
   bool fresh = false;  // the factorization was just rebuilt and still failed
   while (iterations_ < opts_.max_iterations) {
-    if (opts_.time_limit_sec > 0 && (iterations_ & 127) == 0 &&
-        timer_.seconds() > opts_.time_limit_sec) {
-      return Status::kIterLimit;
-    }
+    if (out_of_time()) return Status::kIterLimit;
     if (factor_.updates() >= refactor_interval_) {
       if (!refresh()) return Status::kIterLimit;
     }
@@ -486,7 +483,9 @@ int RevisedCore::dual_ratio_test(bool above, double infeas, bool bland,
     std::pop_heap(br.begin(), end, later);
     --end;
     enter = *end;
-    if (end == br.begin()) break;  // last breakpoint: it enters
+    // Bland mode flips nothing: the first breakpoint enters, so the
+    // anti-cycling rule sees a textbook dual ratio test and terminates.
+    if (bland || end == br.begin()) break;
     const double u = ub_[enter.j];
     if (!std::isfinite(u) || slope - enter.abs_a * u <= 0) break;
     slope -= enter.abs_a * u;
@@ -541,10 +540,7 @@ Status RevisedCore::dual_iterate() {
   bool bland = false;
   bool fresh = false;
   while (iterations_ < opts_.max_iterations) {
-    if (opts_.time_limit_sec > 0 && (iterations_ & 127) == 0 &&
-        timer_.seconds() > opts_.time_limit_sec) {
-      return Status::kIterLimit;
-    }
+    if (out_of_time()) return Status::kIterLimit;
     if (factor_.updates() >= refactor_interval_) {
       if (!refresh()) return Status::kIterLimit;
     }
@@ -659,11 +655,21 @@ void RevisedCore::export_optimal(const Problem& p, Result* res) const {
   res->reduced_cost.assign(zrow_.begin(), zrow_.begin() + n_struct_);
 }
 
+bool RevisedCore::out_of_time() {
+  if (opts_.time_limit_sec <= 0 || (iterations_ & 127) != 0 ||
+      timer_.seconds() <= opts_.time_limit_sec) {
+    return false;
+  }
+  timed_out_ = true;
+  return true;
+}
+
 Result RevisedCore::run_cold(const Problem& p) {
   Result res;
   iterations_ = 0;
   dual_iterations_ = 0;
   bound_flips_ = 0;
+  timed_out_ = false;
   timer_.reset();
 
   shift_.resize(n_struct_);
@@ -772,6 +778,7 @@ Result RevisedCore::reoptimize_dual(const Problem& p) {
   iterations_ = 0;
   dual_iterations_ = 0;
   bound_flips_ = 0;
+  timed_out_ = false;
   timer_.reset();
   res.warm_start_used = true;
   cost_ = cost2_;

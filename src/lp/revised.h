@@ -109,7 +109,14 @@ class RevisedCore {
   /// pivoted, and the reference the tests hold the maintained ones to.
   std::vector<double> exact_dual_edge_weights();
 
+  /// True when the last run_cold / reoptimize_dual stopped on the
+  /// Options::time_limit_sec wall clock.
+  bool timed_out() const { return timed_out_; }
+
  private:
+  /// Polls the wall clock every 128 iterations; true (and timed_out_ set)
+  /// once the solve is over its time limit.
+  bool out_of_time();
   enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 
   void size_for(int nart);
@@ -154,7 +161,8 @@ class RevisedCore {
   /// Bound-flipping dual ratio test over the gathered pivot row of a row
   /// with primal infeasibility `infeas` (> 0). Returns the entering column
   /// (-1: no eligible column) and its dual step in *step; fills ws_.flips
-  /// with the boxed columns whose breakpoints the step passes.
+  /// with the boxed columns whose breakpoints the step passes. Bland mode
+  /// flips nothing: the first breakpoint enters, ties to the smallest index.
   int dual_ratio_test(bool above, double infeas, bool bland, double* step);
   /// Forrest-Goldfarb weight update for the pivot just applied at row r;
   /// reads the pre-pivot alpha, rho and tau = B^-1 rho from the workspace.
@@ -203,6 +211,7 @@ class RevisedCore {
   int dual_iterations_ = 0;
   int bound_flips_ = 0;
   bool need_phase1_ = false;
+  bool timed_out_ = false;
 };
 
 }  // namespace vm1::lp::detail

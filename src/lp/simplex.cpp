@@ -19,11 +19,13 @@ void record_solve(const Result& r, bool warm) {
   static obs::Counter& dual_pivots = obs::counter("lp.dual_pivots");
   static obs::Counter& warm_solves = obs::counter("lp.warm_solves");
   static obs::Counter& bound_flips = obs::counter("lp.bound_flips");
+  static obs::Counter& time_limit_hits = obs::counter("lp.time_limit_hits");
   solves.add();
   pivots.add(r.iterations);
   dual_pivots.add(r.dual_iterations);
   bound_flips.add(r.bound_flips);
   if (warm) warm_solves.add();
+  if (r.time_limit_hit) time_limit_hits.add();
 }
 
 }  // namespace
@@ -172,6 +174,7 @@ Result SimplexSolver::solve(const Problem& p) const {
   span.arg("warm", "cold");
   detail::RevisedCore c(p, opts_);
   Result r = c.run_cold(p);
+  r.time_limit_hit = c.timed_out();
   span.arg("status", to_string(r.status));
   record_solve(r, /*warm=*/false);
   return r;
@@ -202,6 +205,7 @@ Result IncrementalSimplex::solve() {
   int wasted = 0;
   int wasted_dual = 0;
   int wasted_flips = 0;
+  bool warm_timed_out = false;
   if (hot_) {
     Result r = core_->reoptimize_dual(prob_);
     dual_pivots_ += r.dual_iterations;
@@ -217,9 +221,11 @@ Result IncrementalSimplex::solve() {
     wasted = r.iterations;
     wasted_dual = r.dual_iterations;
     wasted_flips = r.bound_flips;
+    warm_timed_out = core_->timed_out();
     hot_ = false;
   }
   Result r = core_->run_cold(prob_);
+  r.time_limit_hit = warm_timed_out || core_->timed_out();
   r.iterations += wasted;
   r.dual_iterations += wasted_dual;
   r.bound_flips += wasted_flips;

@@ -112,6 +112,10 @@ struct Result {
   int bound_flips = 0;
   /// True when the solve re-optimized from a warm basis without phase 1.
   bool warm_start_used = false;
+  /// True when some phase of the solve stopped on its wall-clock budget
+  /// (Options::time_limit_sec); the status is then kIterLimit or, after a
+  /// cold restart, whatever the restart reached.
+  bool time_limit_hit = false;
   /// Reduced costs of the structural variables at the optimum (empty when
   /// not optimal). Nonnegative for variables at lower bound, nonpositive
   /// at upper bound — used for reduced-cost fixing in branch-and-bound.

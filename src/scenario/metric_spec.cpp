@@ -190,6 +190,8 @@ rejected_audit;flow:rejected_audit;exact
 kept;flow:kept;exact
 faulted;flow:faulted;exact
 skipped;flow:skipped;exact
+# a window LP cut by its wall clock makes results timing-dependent
+lp_time_limit_hits;counter:lp.time_limit_hits;le
 # solver/router internals: trend context, not gated
 cached_remote;flow:cached_remote;info
 cache_hits;flow:cache_hits;info
@@ -198,6 +200,8 @@ lp_solves;counter:lp.solves;info
 lp_iterations;counter:lp.pivots;info
 lp_dual_pivots;counter:lp.dual_pivots;info
 lp_bound_flips;counter:lp.bound_flips;info
+milp_rows;counter:milp.rows;info
+milp_cols;counter:milp.cols;info
 maze_expansions;counter:route.maze_expansions;info
 maze_searches;counter:route.maze_searches;info
 heap_pushes;counter:route.heap_pushes;info

@@ -4,10 +4,17 @@
 
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
+
+#ifndef VM1_FIXTURE_DIR
+#define VM1_FIXTURE_DIR "tests/fixtures"
+#endif
 
 namespace vm1::milp {
 namespace {
@@ -400,6 +407,70 @@ TEST_P(BnBWarmCold, IdenticalOptimaWithAndWithoutWarmStart) {
 
 INSTANTIATE_TEST_SUITE_P(RandomWindowMilp, BnBWarmCold,
                          ::testing::Range(0, 25));
+
+/// Reads a model fixture (format in the file's header comment) and its
+/// warm-start vector.
+Model load_model_fixture(const std::string& path, std::vector<double>* warm) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "cannot open " << path;
+  std::stringstream body;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] != '#') body << line << '\n';
+  }
+  Model m;
+  std::string tag;
+  int n = 0;
+  body >> tag >> n;
+  EXPECT_EQ(tag, "vars");
+  for (int v = 0; v < n; ++v) {
+    double lo = 0, hi = 0, cost = 0;
+    int is_int = 0, priority = 0;
+    body >> lo >> hi >> cost >> is_int >> priority;
+    const int id = is_int ? m.add_integer(lo, hi, cost)
+                          : m.add_continuous(lo, hi, cost);
+    m.set_branch_priority(id, priority);
+  }
+  int rows = 0;
+  body >> tag >> rows;
+  EXPECT_EQ(tag, "rows");
+  for (int i = 0; i < rows; ++i) {
+    int sense = 0;
+    double rhs = 0;
+    std::size_t k = 0;
+    body >> sense >> rhs >> k;
+    std::vector<std::pair<int, double>> terms(k);
+    for (auto& [v, c] : terms) body >> v >> c;
+    m.add_constraint(std::move(terms), static_cast<lp::Sense>(sense), rhs);
+  }
+  body >> tag;
+  EXPECT_EQ(tag, "warm");
+  warm->assign(n, 0.0);
+  for (double& x : *warm) body >> x;
+  EXPECT_TRUE(body) << "truncated fixture " << path;
+  return m;
+}
+
+// A window whose node LPs stall into Bland mode. With bound flips still on
+// in Bland mode the dual simplex cycled until its iteration cap (the flow
+// only escaped through the LP wall clock, so its QoR depended on timing).
+// Without a wall clock every node LP must still finish, well inside the
+// cap.
+TEST(BranchAndBound, BlandModeDualSimplexTerminates) {
+  std::vector<double> warm;
+  const Model m =
+      load_model_fixture(std::string(VM1_FIXTURE_DIR) + "/bland_window.milp",
+                         &warm);
+  ASSERT_EQ(m.num_variables(), 159);
+  ASSERT_EQ(m.num_constraints(), 135);
+  BranchAndBound::Options o;
+  o.max_nodes = 60;  // the window optimizer's node cap
+  o.lp_options.time_limit_sec = 0;
+  const MipResult r = BranchAndBound(o).solve(m, nullptr, &warm);
+  EXPECT_EQ(r.nodes_explored, 60);
+  EXPECT_LT(r.lp_iterations, o.lp_options.max_iterations);
+  ASSERT_FALSE(r.x.empty());
+  EXPECT_LE(r.objective, m.objective_value(warm) + 1e-9);
+}
 
 }  // namespace
 }  // namespace vm1::milp

@@ -226,12 +226,13 @@ TEST_F(StoreFixture, StaleEpochDiscardsWholesale) {
 }
 
 // A store written by the previous solver generation must open empty under
-// this build's epoch: its windows were solved by different pivot rules, so
-// replaying them would not be bit-identical to re-solving.
+// this build's epoch: generation 2 solved its windows over the big-M
+// alignment rows, so replaying them would not be bit-identical to
+// re-solving the current formulation.
 TEST_F(StoreFixture, PreviousSolverEpochOpensEmpty) {
-  const std::uint64_t previous =
-      hash::splitmix_mix(cache::kSolverEpoch - 1,
-                         static_cast<std::uint64_t>(fault::kNumSites));
+  static_assert(cache::kSolverEpoch == 3);
+  const std::uint64_t previous = hash::splitmix_mix(
+      2, static_cast<std::uint64_t>(fault::kNumSites));
   ASSERT_NE(previous, cache::default_epoch());
   {
     cache::CacheStore s(opts(previous));

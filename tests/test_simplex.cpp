@@ -170,10 +170,21 @@ TEST(Simplex, TimeLimitTruncates) {
                        static_cast<double>(rng.uniform_int(10, 60)));
     }
   }
+  // The cut is flagged and counted, so a clock-dependent result shows up.
+  obs::Counter& hits = obs::counter("lp.time_limit_hits");
+  const long hits_before = hits.value();
   SimplexSolver::Options opts;
   opts.time_limit_sec = 1e-9;
   Result r = SimplexSolver(opts).solve(p);
   EXPECT_EQ(r.status, Status::kIterLimit);
+  EXPECT_TRUE(r.time_limit_hit);
+  EXPECT_EQ(hits.value(), hits_before + 1);
+
+  opts.time_limit_sec = 0;  // unlimited
+  r = SimplexSolver(opts).solve(p);
+  EXPECT_EQ(r.status, Status::kOptimal);
+  EXPECT_FALSE(r.time_limit_hit);
+  EXPECT_EQ(hits.value(), hits_before + 1);
 }
 
 class SimplexRandom : public ::testing::TestWithParam<int> {};

@@ -7,11 +7,18 @@
 /// the loop between the MILP encoding (big-M alignment constraints, lambda
 /// exclusivity, folded fixed pins) and the objective the rest of the
 /// system actually measures — any drift between the two shows up as the
-/// solver "beating" or missing the oracle.
+/// solver "beating" or missing the oracle. Every legal assignment is also
+/// completed into a full model vector, which must satisfy every row (an
+/// over-tight alignment row would cut it off), must stop satisfying them
+/// when an unaligned pair's d is raised to 1 (a missing row would not), and
+/// whose model objective must differ from the design-level one by the same
+/// constant (a wrong folded HPWL cost would not).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -26,6 +33,15 @@
 #include "util/rng.h"
 
 namespace vm1 {
+
+/// Test access to BuiltMilp::complete (a friend of BuiltMilp).
+struct BuilderAccess {
+  static std::vector<double> complete(const BuiltMilp& b,
+                                      const std::vector<int>& chosen) {
+    return b.complete(chosen);
+  }
+};
+
 namespace {
 
 /// Two INVs in adjacent rows connected ZN -> A, misaligned by `offset`
@@ -96,12 +112,18 @@ struct OracleResult {
   long long product = 0;  ///< full cross-product size (pre-legality)
 };
 
+/// Called once per legal assignment with each cell's candidate index and
+/// the assignment's restricted objective.
+using AssignmentVisitor =
+    std::function<void(const std::vector<int>& chosen, double value)>;
+
 /// Enumerates the cross-product of candidate lists and scores every
 /// pairwise-legal assignment. Returns false (without touching `out`) when
 /// the product exceeds `cap` — callers skip such windows. The design is
 /// mutated during the sweep and restored before returning.
 bool enumerate_oracle(Design& d, const WindowProblem& wp, long long cap,
-                      OracleResult* out) {
+                      OracleResult* out,
+                      const AssignmentVisitor& visit = nullptr) {
   const Netlist& nl = d.netlist();
   auto mask = fixed_site_mask(d, wp.window, wp.movable);
   std::vector<std::vector<Candidate>> cands;
@@ -122,7 +144,7 @@ bool enumerate_oracle(Design& d, const WindowProblem& wp, long long cap,
   for (int inst : wp.movable) original.push_back(d.placement(inst));
 
   const std::size_t k = wp.movable.size();
-  std::vector<std::size_t> idx(k, 0);
+  std::vector<int> idx(k, 0);
   OracleResult res;
   res.product = product;
   while (true) {
@@ -142,13 +164,17 @@ bool enumerate_oracle(Design& d, const WindowProblem& wp, long long cap,
       for (std::size_t i = 0; i < k; ++i) {
         d.set_placement(wp.movable[i], cands[i][idx[i]]);
       }
-      res.best = std::min(res.best,
-                          restricted_objective(d, nets, wp.params));
+      const double value = restricted_objective(d, nets, wp.params);
+      res.best = std::min(res.best, value);
       ++res.legal_assignments;
+      if (visit) visit(idx, value);
     }
     // Odometer step.
     std::size_t pos = 0;
-    while (pos < k && ++idx[pos] == cands[pos].size()) idx[pos++] = 0;
+    while (pos < k &&
+           ++idx[pos] == static_cast<int>(cands[pos].size())) {
+      idx[pos++] = 0;
+    }
     if (pos == k) break;
   }
   for (std::size_t i = 0; i < k; ++i) {
@@ -181,13 +207,65 @@ double milp_oracle_value(Design& d, const WindowProblem& wp,
   return restricted_objective(d, nets, wp.params);
 }
 
-/// One full oracle round: enumerated optimum == applied MILP optimum.
+/// What the built window models exercised, summed over oracle cases.
+struct Coverage {
+  int folded_nets = 0;    ///< nets folded into lambda costs
+  int fixed_pairs = 0;    ///< alignment pairs with one fixed pin
+  int movable_pairs = 0;  ///< alignment pairs of two movable pins
+};
+
+/// One full oracle round: enumerated optimum == applied MILP optimum, and
+/// every legal assignment completes to a feasible model point whose model
+/// objective tracks the design-level objective up to one constant.
 void run_oracle_case(Design& d, const WindowProblem& wp, long long cap,
-                     const std::string& tag) {
+                     const std::string& tag, Coverage* cov = nullptr) {
   std::vector<int> nets = incident_routable_nets(d, wp.movable);
   double current = restricted_objective(d, nets, wp.params);
+  const BuiltMilp built = build_window_milp(wp);
+  if (cov && !built.empty()) {
+    cov->folded_nets +=
+        static_cast<int>(nets.size() - built.net_vars.size());
+    for (const AlignPair& pr : built.pairs) {
+      if (pr.p.movable_idx >= 0 && pr.q.movable_idx >= 0) {
+        ++cov->movable_pairs;
+      } else {
+        ++cov->fixed_pairs;
+      }
+    }
+  }
+  double offset = std::numeric_limits<double>::quiet_NaN();
+  long failures = 0;
+  auto check_assignment = [&](const std::vector<int>& chosen, double value) {
+    if (built.empty()) return;
+    std::vector<double> x = BuilderAccess::complete(built, chosen);
+    const double violation = built.model.lp().max_violation(x);
+    const double diff = built.model.objective_value(x) - value;
+    if (std::isnan(offset)) offset = diff;
+    // The rows must also cut off d = 1 on every pair this assignment leaves
+    // unaligned (a missing row would let the solver claim the alignment).
+    int loose_pair = -1;
+    for (std::size_t i = 0; i < built.pairs.size() && loose_pair < 0; ++i) {
+      const int dv = built.pairs[i].d_var;
+      if (x[dv] > 0.5) continue;
+      x[dv] = 1.0;
+      if (built.model.lp().max_violation(x) < 0.5) {
+        loose_pair = static_cast<int>(i);
+      }
+      x[dv] = 0.0;
+    }
+    // Report the first bad assignment only; one is enough to debug.
+    if (violation > 1e-9 || std::abs(diff - offset) > 1e-6 ||
+        loose_pair >= 0) {
+      if (failures++ == 0) {
+        ADD_FAILURE() << tag << ": legal assignment violates the model by "
+                      << violation << ", objective offset " << diff
+                      << " vs " << offset << ", unaligned pair "
+                      << loose_pair << " admits d = 1";
+      }
+    }
+  };
   OracleResult oracle;
-  ASSERT_TRUE(enumerate_oracle(d, wp, cap, &oracle))
+  ASSERT_TRUE(enumerate_oracle(d, wp, cap, &oracle, check_assignment))
       << tag << ": enumeration exceeded cap";
   ASSERT_GT(oracle.legal_assignments, 0) << tag;
   // Candidate 0 of every cell is the current placement, so the identity
@@ -235,7 +313,8 @@ TEST(WindowOracle, PairOpenM1AcrossAlphasAndEpsilons) {
 /// product over the cap are skipped; the test insists enough usable
 /// windows were found so it cannot pass vacuously.
 void random_window_cases(CellArch arch, std::uint64_t seed_base,
-                         int want_cases, bool flip_only) {
+                         int want_cases, bool flip_only,
+                         Coverage* cov = nullptr) {
   constexpr int kMaxCells = 6;
   constexpr long long kCap = 250000;
   int done = 0;
@@ -297,7 +376,8 @@ void random_window_cases(CellArch arch, std::uint64_t seed_base,
                         std::to_string(wp.window.x0) + "," +
                         std::to_string(wp.window.x1) + ")x[" +
                         std::to_string(wp.window.row0) + "," +
-                        std::to_string(wp.window.row1) + "]");
+                        std::to_string(wp.window.row1) + "]",
+                    cov);
     ++done;
   }
   EXPECT_EQ(done, want_cases)
@@ -305,7 +385,13 @@ void random_window_cases(CellArch arch, std::uint64_t seed_base,
 }
 
 TEST(WindowOracle, RandomWindowsClosedM1) {
-  random_window_cases(CellArch::kClosedM1, 1000, 6, /*flip_only=*/false);
+  Coverage cov;
+  random_window_cases(CellArch::kClosedM1, 1000, 24, /*flip_only=*/false,
+                      &cov);
+  // Every branch of the formulation must have been held to the oracle.
+  EXPECT_GT(cov.folded_nets, 0);
+  EXPECT_GT(cov.fixed_pairs, 0);
+  EXPECT_GT(cov.movable_pairs, 0);
 }
 
 TEST(WindowOracle, RandomWindowsOpenM1) {
